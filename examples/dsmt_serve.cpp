@@ -2,11 +2,12 @@
 // (dsmt::service::Server), in one of two modes:
 //
 // Batch mode (default): reads a JSON batch (a bare array of request
-// objects, or {"requests": [...]}), serves it through admission control /
-// retry / breaker / degradation ladder, and prints one JSON document:
+// objects, or {"requests": [...]}), serves it through admission control,
+// one solve attempt per request and the analytic degradation rung, and
+// prints one JSON document:
 //
 //   {"responses": [...one structured response per request, in order...],
-//    "service":   {...admission counters, cache, breaker transitions...}}
+//    "service":   {...admission and outcome counters, solve cache...}}
 //
 // Socket mode (--listen PATH or --tcp PORT): runs the hardened socket
 // front end (dsmt::net::Server) speaking DSM1-framed request/response JSON
@@ -68,7 +69,6 @@ int usage(bool to_stdout = false) {
       to_stdout ? stdout : stderr,
       "usage: dsmt_serve [--batch file.json|-] [--listen SOCKET_PATH]\n"
       "                  [--tcp PORT] [--queue N] [--deadline-ms M]\n"
-      "                  [--max-attempts N] [--breaker-threshold K]\n"
       "                  [--max-connections N] [--max-inflight N]\n"
       "                  [--tick-ms M] [--idle-ticks N] [--drain-ticks N]\n"
       "                  [--isolate] [--workers N] [--rlimit-as-mb N]\n"
@@ -264,10 +264,6 @@ int main(int argc, char** argv) {
       config.deadline_ns =
           static_cast<std::uint64_t>(std::stoull(opts["deadline-ms"])) *
           1000000ULL;
-    if (opts.count("max-attempts"))
-      config.retry.max_attempts = std::stoi(opts["max-attempts"]);
-    if (opts.count("breaker-threshold"))
-      config.breaker.failure_threshold = std::stoi(opts["breaker-threshold"]);
     const int indent = opts.count("indent") ? std::stoi(opts["indent"]) : 2;
 
     // Content-addressed solve cache: --cache-dir makes it durable (the

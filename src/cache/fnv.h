@@ -1,12 +1,12 @@
 // FNV-1a 64-bit: the one checksum/content-hash primitive in the tree.
 //
-// Three subsystems hash bytes today — the supervise quarantine table keys
-// requests by content, service/retry seeds jitter from (id, index), and the
-// solve cache checksums every segment entry and shards its map. They must
-// all agree on ONE implementation: a cache written by a binary whose hash
-// disagrees with the reader's is indistinguishable from corruption, and a
-// quarantine table that hashes differently than the cache would defeat the
-// shared-parent-cache answer path for poison repeats. Lint rule R14 fences
+// Two subsystems hash bytes today — the supervise quarantine table keys
+// requests by content, and the solve cache checksums every segment entry
+// and shards its map. They must agree on ONE implementation: a cache
+// written by a binary whose hash disagrees with the reader's is
+// indistinguishable from corruption, and a quarantine table that hashes
+// differently than the cache would defeat the shared-parent-cache answer
+// path for poison repeats. Lint rule R14 fences
 // the FNV constants into this header so a drive-by reimplementation (with,
 // say, a typo'd prime) cannot creep in elsewhere.
 //

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/checkpoint.h"
+#include "core/splitmix.h"
 #include "numeric/stats.h"
 #include "parallel/parallel_for.h"
 #include "selfconsistent/batch.h"
@@ -25,7 +26,7 @@ namespace {
 class CounterNormalGen {
  public:
   CounterNormalGen(unsigned seed, std::uint64_t sample)
-      : state_(mix64(0x9E3779B97F4A7C15ULL * (sample + 1) ^
+      : state_(mix64(kSplitmix64Gamma * (sample + 1) ^
                      (static_cast<std::uint64_t>(seed) << 1 | 1ULL))) {}
 
   double operator()() {
@@ -43,18 +44,9 @@ class CounterNormalGen {
   }
 
  private:
-  static std::uint64_t mix64(std::uint64_t z) {
-    z ^= z >> 30;
-    z *= 0xBF58476D1CE4E5B9ULL;
-    z ^= z >> 27;
-    z *= 0x94D049BB133111EBULL;
-    z ^= z >> 31;
-    return z;
-  }
-
   double uniform() {
-    state_ += 0x9E3779B97F4A7C15ULL;
-    return static_cast<double>(mix64(state_) >> 11) * 0x1.0p-53;
+    state_ += kSplitmix64Gamma;
+    return unit_double(mix64(state_));
   }
 
   std::uint64_t state_;

@@ -10,8 +10,8 @@
 #include <chrono>
 #include <cstring>
 
+#include "core/splitmix.h"
 #include "core/thread_annotations.h"
-#include "service/retry.h"
 
 namespace dsmt::net {
 
@@ -50,7 +50,7 @@ FaultDecision decide(bool is_read, std::size_t len) {
   if (is_read && plan.eagain_period > 0 && op % plan.eagain_period == 0)
     d.inject_eagain = true;
   if (plan.short_io && len > 1) {
-    const std::uint64_t draw = service::mix64(
+    const std::uint64_t draw = core::splitmix64(
         plan.seed ^ (static_cast<std::uint64_t>(op) << 1) ^ (is_read ? 1 : 0));
     std::size_t clamp = 1 + static_cast<std::size_t>(draw % 7);
     d.clamp_len = clamp < len ? clamp : len;

@@ -6,67 +6,6 @@
 
 namespace dsmt::service {
 
-void ReferenceCache::insert(const std::string& family, double duty_cycle,
-                            const selfconsistent::Solution& solution) {
-  if (!std::isfinite(duty_cycle) || duty_cycle <= 0.0 || duty_cycle > 1.0)
-    return;  // malformed points never enter the conservative store
-  if (!solution.diag.ok()) return;
-  ReferencePoint point;
-  point.duty_cycle = duty_cycle;
-  point.t_metal_k = solution.t_metal.value();
-  point.j_rms_A_m2 = solution.j_rms.value();
-  MutexLock lock(mu_);
-  std::vector<ReferencePoint>& family_points = points_[family];
-  const auto at = std::lower_bound(
-      family_points.begin(), family_points.end(), duty_cycle,
-      [](const ReferencePoint& p, double r) { return p.duty_cycle < r; });
-  if (at != family_points.end() && at->duty_cycle == duty_cycle)
-    *at = point;
-  else
-    family_points.insert(at, point);
-}
-
-bool ReferenceCache::conservative_at(const std::string& family,
-                                     double duty_cycle,
-                                     ReferencePoint& out) const {
-  MutexLock lock(mu_);
-  ++lookups_;
-  const auto family_it = points_.find(family);
-  if (family_it == points_.end()) return false;
-  const std::vector<ReferencePoint>& family_points = family_it->second;
-  // Smallest cached r' >= r: the tightest point that is still conservative.
-  const auto at = std::lower_bound(
-      family_points.begin(), family_points.end(), duty_cycle,
-      [](const ReferencePoint& p, double r) { return p.duty_cycle < r; });
-  if (at == family_points.end()) return false;
-  out = *at;
-  ++hits_;
-  return true;
-}
-
-std::size_t ReferenceCache::size() const {
-  MutexLock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [family, family_points] : points_)
-    n += family_points.size();
-  return n;
-}
-
-std::size_t ReferenceCache::families() const {
-  MutexLock lock(mu_);
-  return points_.size();
-}
-
-std::uint64_t ReferenceCache::lookups() const {
-  MutexLock lock(mu_);
-  return lookups_;
-}
-
-std::uint64_t ReferenceCache::hits() const {
-  MutexLock lock(mu_);
-  return hits_;
-}
-
 namespace {
 
 /// Trial-temperature grid for the analytic rung: geometric in the rise
@@ -76,6 +15,25 @@ namespace {
 inline constexpr double kGridFirstRiseK = 0.25;
 inline constexpr double kGridLastRiseK = 1200.0;
 inline constexpr double kGridGrowth = 1.19;
+
+/// The kOk payload both rungs share: temperatures [K], densities [A/m^2].
+void fill_payload(Response& resp, const Request& request,
+                  const LadderProblem& ladder, double t_metal_k,
+                  double delta_t_k, double j_peak, double j_rms,
+                  double j_avg) {
+  resp.id = request.id;
+  resp.kind = request.kind;
+  resp.status = core::StatusCode::kOk;
+  resp.conservative = true;  // both rungs carry the guarantee
+  resp.t_metal_c = kelvin_to_celsius(t_metal_k);
+  resp.delta_t_c = delta_t_k;
+  resp.j_peak_MA_cm2 = to_MA_per_cm2(j_peak);
+  resp.j_rms_MA_cm2 = to_MA_per_cm2(j_rms);
+  resp.j_avg_MA_cm2 = to_MA_per_cm2(j_avg);
+  if (request.kind == RequestKind::kDutyCyclePoint)
+    resp.jpeak_em_only_MA_cm2 =
+        to_MA_per_cm2(selfconsistent::jpeak_em_only(ladder.full).value());
+}
 
 }  // namespace
 
@@ -110,6 +68,29 @@ AnalyticBound analytic_quasi1d_bound(const selfconsistent::Problem& quasi1d) {
   best.j_peak = best.j_rms / sqrt_r;
   best.j_avg = sqrt_r * best.j_rms;
   return best;
+}
+
+Response full_response(const Request& request, const LadderProblem& ladder,
+                       const selfconsistent::Solution& solution) {
+  Response resp;
+  resp.diag.absorb(solution.diag, "service/solve");
+  fill_payload(resp, request, ladder, solution.t_metal.value(),
+               solution.delta_t.value(), solution.j_peak.value(),
+               solution.j_rms.value(), solution.j_avg.value());
+  return resp;
+}
+
+Response analytic_response(const Request& request,
+                           const LadderProblem& ladder) {
+  const AnalyticBound bound = analytic_quasi1d_bound(ladder.quasi1d);
+  const double t_metal_k = bound.t_metal.value();
+  Response resp;
+  resp.degraded = true;
+  resp.degradation_level = DegradationLevel::kAnalyticBound;
+  fill_payload(resp, request, ladder, t_metal_k,
+               t_metal_k - celsius_to_kelvin(request.t_ref_c).value(),
+               bound.j_peak.value(), bound.j_rms.value(), bound.j_avg.value());
+  return resp;
 }
 
 }  // namespace dsmt::service

@@ -1,17 +1,10 @@
-// Graceful-degradation ladder below the full quasi-2D solve.
+// The service's two answers to a request: the full quasi-2D solve, and the
+// conservative analytic rung below it.
 //
-// When the full Eq. 13 solve is unavailable — the kernel is failing, its
-// breaker is open, or retries are exhausted — the service still answers,
-// stepping down a ladder whose every rung is *conservative for j_rms* (and
-// therefore for T_m, which rises monotonically with j_rms):
-//
-//   rung 1  ReferenceCache::conservative_at — the cached full solution of
-//           the SAME geometry family at the smallest cached duty cycle
-//           r' >= r. j_rms is non-increasing in r (the EM constraint
-//           j_avg = sqrt(r) j_rms tightens as r grows while the thermal
-//           constraint is r-independent), so j_rms(r') <= j_rms(r), and the
-//           cached pair (j_rms(r'), T(r')) is exactly self-consistent for
-//           this geometry: strictly feasible, never optimistic.
+//   rung 0  full_response — the self-consistent Eq. 13 solution of the
+//           quasi-2D (phi = 2.45) problem. A solve-cache hit replays this
+//           same function over the cached numbers, so a hit's reply is the
+//           cold reply byte for byte.
 //
 //   rung 2  analytic_quasi1d_bound — iteration-free lower bound from the
 //           quasi-1D W_eff = W_m + 0.88 b problem. For ANY trial T^ >= T_ref,
@@ -22,63 +15,16 @@
 //           W_eff, overestimates R'_th and hence heating, pushing the bound
 //           further below the quasi-2D answer.
 //
+// A request whose one solve attempt fails gets rung 2. Both rungs depend
+// on the request alone, so a reply never depends on other requests.
+//
 // Full derivations: docs/THEORY.md section 15.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "core/thread_annotations.h"
 #include "selfconsistent/solver.h"
+#include "service/request.h"
 
 namespace dsmt::service {
-
-/// One cached full-solve operating point of a geometry family.
-struct ReferencePoint {
-  double duty_cycle = 0.0;   ///< r [1] the point was solved at
-  double t_metal_k = 0.0;    ///< self-consistent T_m [K]
-  double j_rms_A_m2 = 0.0;   ///< self-consistent j_rms [A/m^2]
-};
-
-/// Thread-safe store of full quasi-2D solutions keyed by geometry family
-/// (request.h: everything but duty cycle). Rung 1 of the ladder reads it;
-/// every successful full solve feeds it, so a warm server degrades to
-/// recent truth instead of the analytic floor.
-class ReferenceCache {
- public:
-  /// Records one full solution at duty cycle r [1]. Re-inserting the same
-  /// (family, r) overwrites — last writer wins, all writers agree anyway
-  /// (the solve is deterministic).
-  void insert(const std::string& family, double duty_cycle,
-              const selfconsistent::Solution& solution);
-
-  /// Conservative lookup: the cached point of `family` with the smallest
-  /// duty cycle r' [1] >= r. Returns false when the family has no such point
-  /// (empty family, or every cached r' < r — a smaller r' would be
-  /// OPTIMISTIC and is never returned).
-  bool conservative_at(const std::string& family, double duty_cycle,
-                       ReferencePoint& out) const;
-
-  std::size_t size() const;          ///< total cached points
-  std::size_t families() const;      ///< distinct geometry families
-
-  /// Rung-1 observability (satellite of the cache PR: interpolation hits
-  /// used to be invisible in sign-off). lookups counts conservative_at
-  /// calls, hits the ones that returned a point.
-  std::uint64_t lookups() const;
-  std::uint64_t hits() const;
-
- private:
-  mutable Mutex mu_;
-  /// Per family: points sorted ascending by duty cycle.
-  std::map<std::string, std::vector<ReferencePoint>> points_
-      DSMT_GUARDED_BY(mu_);
-  mutable std::uint64_t lookups_ DSMT_GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t hits_ DSMT_GUARDED_BY(mu_) = 0;
-};
 
 /// Rung-2 result: a feasible, conservative operating point.
 struct AnalyticBound {
@@ -93,5 +39,17 @@ struct AnalyticBound {
 /// fault-injection hook in its path. Throws std::invalid_argument on duty
 /// cycle outside (0, 1] or non-finite problem data.
 AnalyticBound analytic_quasi1d_bound(const selfconsistent::Problem& quasi1d);
+
+/// The rung-0 reply to `request`: status kOk at DegradationLevel::kFull,
+/// the payload of `solution` (the solve of `ladder.full`), and its diag
+/// chain absorbed under "service/solve".
+Response full_response(const Request& request, const LadderProblem& ladder,
+                       const selfconsistent::Solution& solution);
+
+/// The rung-2 reply to `request`: status kOk, degraded and conservative at
+/// DegradationLevel::kAnalyticBound, with an empty diag chain for the
+/// caller to fill. Throws like analytic_quasi1d_bound.
+Response analytic_response(const Request& request,
+                           const LadderProblem& ladder);
 
 }  // namespace dsmt::service

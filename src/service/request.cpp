@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "materials/dielectric.h"
@@ -26,13 +25,6 @@ namespace {
 std::string lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
-}
-
-/// Canonical %.17g rendering so a family key round-trips bit-exactly.
-std::string canon(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 double get_number(const report::Json& node, const char* key, double fallback) {
@@ -160,12 +152,7 @@ report::Json response_to_json(const Response& resp) {
       .set("degraded", Json::boolean(resp.degraded))
       .set("degradation_level",
            Json::integer(static_cast<long long>(resp.degradation_level)))
-      .set("conservative", Json::boolean(resp.conservative))
-      .set("attempts", Json::integer(resp.attempts));
-  Json backoffs = Json::array();
-  for (const std::uint64_t b : resp.backoff_ns)
-    backoffs.push(Json::integer(static_cast<long long>(b)));
-  node.set("backoff_ns", std::move(backoffs));
+      .set("conservative", Json::boolean(resp.conservative));
   if (resp.ok()) {
     Json sol = Json::object();
     sol.set("t_metal_c", Json::number(resp.t_metal_c))
@@ -205,8 +192,7 @@ std::vector<Request> parse_batch(const std::string& text) {
 
 LadderProblem build_problem(const Request& r) {
   // Shape errors are classified here as kInvalidInput, before any kernel is
-  // touched: client garbage must never count against the solver's circuit
-  // breaker the way a genuine kernel failure does.
+  // touched: client garbage gets a typed error, never a degraded answer.
   if (!std::isfinite(r.duty_cycle) || r.duty_cycle <= 0.0 ||
       r.duty_cycle > 1.0)
     bad_request("duty_cycle must be in (0, 1]");
@@ -233,9 +219,6 @@ LadderProblem build_problem(const Request& r) {
         j0);
     lp.full.t_ref = t_ref;
     lp.quasi1d.t_ref = t_ref;
-    lp.family = "table|" + lower(technology.name) + "|level=" +
-                std::to_string(r.level) + "|" + lower(r.dielectric) +
-                "|j0=" + canon(r.j0_MA_cm2) + "|tref=" + canon(r.t_ref_c);
     return lp;
   }
 
@@ -266,11 +249,6 @@ LadderProblem build_problem(const Request& r) {
   };
   lp.full = make(thermal::kPhiQuasi2D);
   lp.quasi1d = make(thermal::kPhiQuasi1D);
-  lp.family = "wire|" + lower(r.wire.metal) + "|w=" + canon(r.wire.width_um) +
-              "|t=" + canon(r.wire.thickness_um) +
-              "|b=" + canon(r.wire.dielectric_um) +
-              "|k=" + canon(r.wire.k_dielectric) +
-              "|j0=" + canon(r.j0_MA_cm2) + "|tref=" + canon(r.t_ref_c);
   return lp;
 }
 

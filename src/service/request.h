@@ -11,12 +11,10 @@
 // Every response is terminal and structured: success (possibly degraded,
 // with `degradation_level` and a conservative-direction guarantee on j_rms),
 // kRejectedOverload from admission control, or a classified failure. The
-// full SolverDiag chain (attempts, retries, breaker events, degradation
-// rungs) rides along for diagnostics.
+// full SolverDiag chain (the solve attempt and the degradation rung) rides
+// along for diagnostics.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -55,13 +53,11 @@ struct Request {
 };
 
 /// Degradation ladder rungs, most faithful first. The response field
-/// `degradation_level` carries the integer value.
+/// `degradation_level` carries the integer value, so it is 0 or 2.
 ///   0 full       quasi-2D self-consistent solve (phi = 2.45)
-///   1 interp     conservative lookup from the reference cache
 ///   2 analytic   iteration-free quasi-1D bound (phi = 0.88)
 enum class DegradationLevel {
   kFull = 0,
-  kInterpolated = 1,
   kAnalyticBound = 2,
 };
 
@@ -84,9 +80,7 @@ struct Response {
   double j_avg_MA_cm2 = 0.0;     ///< allowed average density [MA/cm^2]
   double jpeak_em_only_MA_cm2 = 0.0;  ///< kDutyCyclePoint: j0 / r [MA/cm^2]
 
-  int attempts = 0;  ///< full-solve attempts (0 = breaker short-circuited)
-  std::vector<std::uint64_t> backoff_ns;  ///< retry schedule applied [ns]
-  core::SolverDiag diag;  ///< attempts, retries, breaker, degradation
+  core::SolverDiag diag;  ///< the solve attempt and the degradation rung
   std::string error;      ///< summary when status != kOk
 
   bool ok() const { return status == core::StatusCode::kOk; }
@@ -104,13 +98,10 @@ report::Json response_to_json(const Response& response);
 std::vector<Request> parse_batch(const std::string& text);
 
 /// The ladder's working set for one request: the quasi-2D problem the full
-/// rung solves, the quasi-1D problem the analytic rung bounds, and the
-/// family key (everything but duty cycle, canonically formatted) that
-/// addresses the rung-1 reference cache.
+/// rung solves and the quasi-1D problem the analytic rung bounds.
 struct LadderProblem {
   selfconsistent::Problem full;
   selfconsistent::Problem quasi1d;
-  std::string family;
 };
 
 /// Builds the ladder problems for a request. Throws std::invalid_argument,

@@ -1,15 +1,13 @@
 #include "service/server.h"
 
 #include <chrono>
-#include <cmath>
 #include <exception>
 #include <new>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
-#include "cache/response.h"
+#include "cache/entry.h"
 #include "core/run_context.h"
 #include "core/signoff.h"
 #include "parallel/parallel_for.h"
@@ -19,24 +17,20 @@ namespace dsmt::service {
 
 namespace {
 
-/// The kernel the breaker guards — the only iterative solve on the request
-/// path; both degradation rungs below it are closed-form.
-constexpr const char* kSolveKernel = "eq13/solve";
-
-void fill_solution_fields(Response& resp, double t_metal_k, double delta_t_k,
-                          double j_peak, double j_rms, double j_avg) {
-  resp.t_metal_c = kelvin_to_celsius(t_metal_k);
-  resp.delta_t_c = delta_t_k;
-  resp.j_peak_MA_cm2 = to_MA_per_cm2(j_peak);
-  resp.j_rms_MA_cm2 = to_MA_per_cm2(j_rms);
-  resp.j_avg_MA_cm2 = to_MA_per_cm2(j_avg);
+Response failure_response(const Request& request, core::StatusCode status,
+                          std::string error, core::SolverDiag diag) {
+  Response resp;
+  resp.id = request.id;
+  resp.kind = request.kind;
+  resp.status = status;
+  resp.error = std::move(error);
+  resp.diag = std::move(diag);
+  return resp;
 }
 
 }  // namespace
 
-Server::Server(ServerConfig config)
-    : config_(std::move(config)),
-      breaker_(kSolveKernel, config_.breaker) {
+Server::Server(ServerConfig config) : config_(std::move(config)) {
   if (config_.publish_signoff)
     core::set_signoff_service_source(this, [this] { return service_json(); });
 }
@@ -46,15 +40,14 @@ Server::~Server() {
 }
 
 Response Server::shed_response(const Request& request) {
-  Response resp;
-  resp.id = request.id;
-  resp.kind = request.kind;
-  resp.status = core::StatusCode::kRejectedOverload;
-  resp.error = "shed at admission: burst exceeded queue capacity " +
-               std::to_string(config_.queue_capacity);
-  resp.diag.record("service/admission", core::StatusCode::kRejectedOverload,
-                   0, 0.0, resp.error);
-  return resp;
+  const std::string error =
+      "shed at admission: burst exceeded queue capacity " +
+      std::to_string(config_.queue_capacity);
+  core::SolverDiag diag;
+  diag.record("service/admission", core::StatusCode::kRejectedOverload, 0,
+              0.0, error);
+  return failure_response(request, core::StatusCode::kRejectedOverload, error,
+                          std::move(diag));
 }
 
 std::vector<Response> Server::submit_batch(
@@ -84,7 +77,7 @@ std::vector<Response> Server::submit_batch(
   try {
     parallel::parallel_for(admitted.size(), [&](std::size_t k) {
       const std::size_t i = admitted[k];
-      out[i] = guarded_execute(batch[i], i);
+      out[i] = guarded_execute(batch[i]);
       served[i] = 1;
     });
   } catch (const SolveError& interruption) {
@@ -94,11 +87,8 @@ std::vector<Response> Server::submit_batch(
     // let the interruption propagate to the caller who armed it.
     for (const std::size_t i : admitted) {
       if (served[i]) continue;
-      out[i].id = batch[i].id;
-      out[i].kind = batch[i].kind;
-      out[i].status = interruption.status();
-      out[i].error = interruption.what();
-      out[i].diag = interruption.diag();
+      out[i] = failure_response(batch[i], interruption.status(),
+                                interruption.what(), interruption.diag());
       ++failed_;
     }
     throw;
@@ -106,73 +96,44 @@ std::vector<Response> Server::submit_batch(
   return out;
 }
 
-Response Server::handle(const Request& request, std::size_t index) {
+Response Server::handle(const Request& request, std::size_t) {
   ++received_;
   ++admitted_;
-  return guarded_execute(request, index);
+  return guarded_execute(request);
 }
 
-Response Server::guarded_execute(const Request& request, std::size_t index) {
+Response Server::guarded_execute(const Request& request) {
   try {
-    return execute(request, index);
+    return execute(request);
   } catch (const SolveError& e) {
-    Response resp;
-    resp.id = request.id;
-    resp.kind = request.kind;
-    resp.status = e.status();
-    resp.error = e.what();
-    resp.diag = e.diag();
     ++failed_;
-    return resp;
+    return failure_response(request, e.status(), e.what(), e.diag());
   } catch (const std::bad_alloc&) {
     // Allocation failure is admission-boundary overload, not bad input:
     // shed this request with the overload status so callers retry it
     // elsewhere instead of discarding it as malformed. Deliberately builds
     // only a slim response — the heap just refused us.
-    Response resp;
-    resp.id = request.id;
-    resp.kind = request.kind;
-    resp.status = core::StatusCode::kRejectedOverload;
-    resp.error = "allocation failure: request shed at admission";
-    resp.diag.record("service/admission", core::StatusCode::kRejectedOverload,
-                     0, 0.0, "allocation failure: request shed at admission");
+    const char* error = "allocation failure: request shed at admission";
+    core::SolverDiag diag;
+    diag.record("service/admission", core::StatusCode::kRejectedOverload, 0,
+                0.0, error);
     ++shed_;
-    return resp;
+    return failure_response(request, core::StatusCode::kRejectedOverload,
+                            error, std::move(diag));
   } catch (const std::exception& e) {
-    Response resp;
-    resp.id = request.id;
-    resp.kind = request.kind;
-    resp.status = core::StatusCode::kInvalidInput;
-    resp.error = e.what();
-    resp.diag.record("service/execute", core::StatusCode::kInvalidInput, 0,
-                     0.0, e.what());
+    core::SolverDiag diag;
+    diag.record("service/execute", core::StatusCode::kInvalidInput, 0, 0.0,
+                e.what());
     ++failed_;
-    return resp;
+    return failure_response(request, core::StatusCode::kInvalidInput,
+                            e.what(), std::move(diag));
   }
 }
 
-Response Server::execute(const Request& request, std::size_t index) {
-  Response resp;
-  resp.id = request.id;
-  resp.kind = request.kind;
-
-  LadderProblem ladder;
-  try {
-    ladder = build_problem(request);
-  } catch (const SolveError& e) {
-    resp.status = e.status();
-    resp.error = e.what();
-    resp.diag = e.diag();
-    ++failed_;
-    return resp;
-  } catch (const std::exception& e) {
-    resp.status = core::StatusCode::kInvalidInput;
-    resp.error = e.what();
-    resp.diag.record("service/request", core::StatusCode::kInvalidInput, 0,
-                     0.0, e.what());
-    ++failed_;
-    return resp;
-  }
+Response Server::execute(const Request& request) {
+  // Malformed requests throw here, before any kernel runs, and leave as a
+  // typed kInvalidInput error through guarded_execute.
+  const LadderProblem ladder = build_problem(request);
 
   // Per-request deadline budget, unless the caller's ambient deadline is
   // already tighter. The copy shares the caller's cancel token, so a batch
@@ -195,9 +156,9 @@ Response Server::execute(const Request& request, std::size_t index) {
 
   // Cache rung: sits above rung 0, inside the deadline scope so a parked
   // waiter observes the same budget the solve would. A verified hit
-  // replays the cold path's exact reply bytes (cache/response.h); a miss
-  // either leads the single flight (publishing on success, abandoning on
-  // every other exit via the lease) or solves independently.
+  // replays full_response over the cached numbers, the cold reply's exact
+  // bytes; a miss either leads the single flight (publishing on success,
+  // abandoning on every other exit via the lease) or solves independently.
   cache::SolveCache* const solve_cache = config_.solve_cache.get();
   std::string cache_key;
   cache::FlightLease flight;
@@ -206,9 +167,7 @@ Response Server::execute(const Request& request, std::size_t index) {
     cache::CachedSolve hit;
     switch (solve_cache->acquire(cache_key, hit)) {
       case cache::Acquire::kHit: {
-        Response out = cache::hit_response(request, ladder, hit);
-        cache_.insert(ladder.family, request.duty_cycle,
-                      cache::to_solution(hit));
+        Response out = full_response(request, ladder, cache::to_solution(hit));
         ++ok_full_;
         return out;
       }
@@ -220,173 +179,64 @@ Response Server::execute(const Request& request, std::size_t index) {
     }
   }
 
-  // Rung 0: the full quasi-2D solve, behind the breaker, with retries.
-  bool solved = false;
-  selfconsistent::Solution solution;
-  core::StatusCode last_failure = core::StatusCode::kBreakerOpen;
-  if (breaker_.allow()) {
-    const std::uint64_t key = request_key(request.id, index);
-    const int max_attempts =
-        config_.retry.max_attempts > 0 ? config_.retry.max_attempts : 1;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      ++resp.attempts;
-      try {
-        solution = selfconsistent::solve_one(ladder.full);
-        resp.diag.absorb(solution.diag,
-                         "service/attempt " + std::to_string(attempt));
-        solved = true;
-        break;
-      } catch (const SolveError& e) {
-        last_failure = e.status();
-        resp.diag.absorb(e.diag(),
-                         "service/attempt " + std::to_string(attempt));
-        if (!retryable(last_failure) || attempt == max_attempts) break;
-        const std::uint64_t pause = backoff_ns(config_.retry, key, attempt);
-        resp.backoff_ns.push_back(pause);
-        ++retries_;
-        resp.diag.record("service/retry", last_failure, attempt, 0.0,
-                         "attempt " + std::to_string(attempt) + " failed (" +
-                             core::status_name(last_failure) +
-                             "); backing off " + std::to_string(pause) +
-                             " ns");
-        if (config_.sleep_on_backoff && pause > 0)
-          std::this_thread::sleep_for(std::chrono::nanoseconds(pause));
-        const core::StatusCode run_state = core::run_check();
-        if (run_state != core::StatusCode::kOk) {
-          last_failure = run_state;
-          resp.diag.record("service/retry", run_state, attempt, 0.0,
-                           "retry budget interrupted");
-          break;
-        }
-      } catch (const std::bad_alloc&) {
-        // Not a solver failure: the heap refused us mid-attempt. Rethrow so
-        // guarded_execute sheds the request as kRejectedOverload instead of
-        // the ladder masking memory pressure with further allocation.
-        breaker_.on_failure(core::StatusCode::kRejectedOverload);
-        throw;
-      } catch (const std::exception& e) {
-        last_failure = core::StatusCode::kInvalidInput;
-        resp.diag.record("service/attempt",
-                         core::StatusCode::kInvalidInput, attempt, 0.0,
-                         e.what());
-        break;
-      }
-    }
-    if (solved)
-      breaker_.on_success();
-    else
-      breaker_.on_failure(last_failure);
-  } else {
-    resp.diag.record("service/breaker[" + breaker_.kernel() + "]",
-                     core::StatusCode::kBreakerOpen,
-                     static_cast<int>(breaker_.ticks()), 0.0,
-                     "short-circuited: breaker open");
+  // Rung 0: one full quasi-2D solve. The kernel is deterministic, so a
+  // failed attempt is not retried. std::bad_alloc passes through to
+  // guarded_execute, which sheds it as overload rather than masking memory
+  // pressure with the ladder.
+  std::optional<selfconsistent::Solution> solution;
+  core::StatusCode failure = core::StatusCode::kOk;
+  core::SolverDiag diag;
+  try {
+    solution = selfconsistent::solve_one(ladder.full);
+  } catch (const SolveError& e) {
+    failure = e.status();
+    diag.absorb(e.diag(), "service/solve");
+  } catch (const std::bad_alloc&) {
+    throw;
+  } catch (const std::exception& e) {
+    failure = core::StatusCode::kInvalidInput;
+    diag.record("service/solve", failure, 0, 0.0, e.what());
   }
-
-  const double r = request.duty_cycle;
-  const bool want_em_only = request.kind == RequestKind::kDutyCyclePoint;
-
-  if (solved) {
-    resp.status = core::StatusCode::kOk;
-    resp.degradation_level = DegradationLevel::kFull;
-    resp.conservative = true;  // exact answer trivially satisfies the bound
-    fill_solution_fields(resp, solution.t_metal.value(),
-                         solution.delta_t.value(), solution.j_peak.value(),
-                         solution.j_rms.value(), solution.j_avg.value());
-    if (want_em_only)
-      resp.jpeak_em_only_MA_cm2 =
-          to_MA_per_cm2(selfconsistent::jpeak_em_only(ladder.full).value());
-    cache_.insert(ladder.family, r, solution);
-    // Only a CANONICAL solve is cacheable: clean first try, the
-    // synthesized single-event diag. Retried or recovered solves carry
+  if (solution) {
+    Response out = full_response(request, ladder, *solution);
+    // Only a canonical solve is cacheable: a recovered one carries diag
     // history a hit could not replay byte-identically.
-    if (solve_cache != nullptr && resp.attempts == 1 &&
-        cache::canonical_solve(solution)) {
-      solve_cache->publish(cache_key, cache::from_solution(solution));
+    if (solve_cache != nullptr && cache::canonical_solve(*solution)) {
+      solve_cache->publish(cache_key, cache::from_solution(*solution));
       flight.dismiss();
     }
     ++ok_full_;
-    return resp;
+    return out;
   }
 
   // An interrupted request gets no degraded answer: the caller's budget is
   // gone and any reply would arrive too late to be acted on.
-  if (core::is_interruption(last_failure)) {
-    resp.status = last_failure;
-    resp.error = std::string("request interrupted (") +
-                 core::status_name(last_failure) + ")";
+  if (core::is_interruption(failure)) {
     ++failed_;
-    return resp;
-  }
-
-  // Rung 1: conservative interpolation from the reference cache.
-  if (config_.enable_interpolation) {
-    ReferencePoint ref;
-    if (cache_.conservative_at(ladder.family, r, ref)) {
-      const double sqrt_r = std::sqrt(r);
-      resp.status = core::StatusCode::kOk;
-      resp.degraded = true;
-      resp.degradation_level = DegradationLevel::kInterpolated;
-      resp.conservative = true;
-      fill_solution_fields(resp, ref.t_metal_k,
-                           ref.t_metal_k - celsius_to_kelvin(request.t_ref_c),
-                           ref.j_rms_A_m2 / sqrt_r, ref.j_rms_A_m2,
-                           sqrt_r * ref.j_rms_A_m2);
-      if (want_em_only)
-        resp.jpeak_em_only_MA_cm2 = to_MA_per_cm2(
-            selfconsistent::jpeak_em_only(ladder.full).value());
-      resp.diag.record("service/degrade", core::StatusCode::kOk, 1, 0.0,
-                       "rung 1: cached reference at r'=" +
-                           std::to_string(ref.duty_cycle) +
-                           " >= r, j_rms non-increasing in r");
-      ++ok_interpolated_;
-      return resp;
-    }
+    return failure_response(request, failure,
+                            std::string("request interrupted (") +
+                                core::status_name(failure) + ")",
+                            std::move(diag));
   }
 
   // Rung 2: iteration-free analytic quasi-1D bound.
-  if (config_.enable_analytic_bound) {
-    try {
-      const AnalyticBound bound = analytic_quasi1d_bound(ladder.quasi1d);
-      resp.status = core::StatusCode::kOk;
-      resp.degraded = true;
-      resp.degradation_level = DegradationLevel::kAnalyticBound;
-      resp.conservative = true;
-      fill_solution_fields(
-          resp, bound.t_metal.value(),
-          bound.t_metal.value() - celsius_to_kelvin(request.t_ref_c),
-          bound.j_peak.value(), bound.j_rms.value(), bound.j_avg.value());
-      if (want_em_only)
-        resp.jpeak_em_only_MA_cm2 = to_MA_per_cm2(
-            selfconsistent::jpeak_em_only(ladder.full).value());
-      resp.diag.record("service/degrade", core::StatusCode::kOk, 2, 0.0,
-                       "rung 2: quasi-1D analytic bound (phi = 0.88)");
-      ++ok_analytic_;
-      return resp;
-    } catch (const std::exception& e) {
-      resp.diag.record("service/degrade", core::StatusCode::kInvalidInput,
-                       2, 0.0, e.what());
-    }
-  }
-
-  resp.status = last_failure;
-  resp.error = std::string("full solve unavailable (") +
-               core::status_name(last_failure) +
-               ") and no degradation rung applies";
-  ++failed_;
-  return resp;
-}
-
-bool Server::warm(const Request& request) {
   try {
-    const LadderProblem ladder = build_problem(request);
-    const selfconsistent::Solution solution =
-        selfconsistent::solve_one(ladder.full);
-    cache_.insert(ladder.family, request.duty_cycle, solution);
-    return true;
-  } catch (const std::exception&) {
-    return false;
+    Response resp = analytic_response(request, ladder);
+    resp.diag = std::move(diag);
+    resp.diag.record("service/degrade", core::StatusCode::kOk, 2, 0.0,
+                     "rung 2: quasi-1D analytic bound (phi = 0.88)");
+    ++ok_analytic_;
+    return resp;
+  } catch (const std::exception& e) {
+    diag.record("service/degrade", core::StatusCode::kInvalidInput, 2, 0.0,
+                e.what());
   }
+  ++failed_;
+  return failure_response(request, failure,
+                          std::string("full solve unavailable (") +
+                              core::status_name(failure) +
+                              ") and the analytic rung does not apply",
+                          std::move(diag));
 }
 
 ServerMetrics Server::metrics() const {
@@ -395,10 +245,8 @@ ServerMetrics Server::metrics() const {
   m.admitted = admitted_.load();
   m.shed = shed_.load();
   m.ok_full = ok_full_.load();
-  m.ok_interpolated = ok_interpolated_.load();
   m.ok_analytic = ok_analytic_.load();
   m.failed = failed_.load();
-  m.retries = retries_.load();
   return m;
 }
 
@@ -419,50 +267,16 @@ report::Json Server::service_json() const {
   Json outcomes = Json::object();
   outcomes
       .set("ok_full", Json::integer(static_cast<long long>(m.ok_full)))
-      .set("ok_interpolated",
-           Json::integer(static_cast<long long>(m.ok_interpolated)))
       .set("ok_analytic",
            Json::integer(static_cast<long long>(m.ok_analytic)))
-      .set("failed", Json::integer(static_cast<long long>(m.failed)))
-      .set("retries", Json::integer(static_cast<long long>(m.retries)));
+      .set("failed", Json::integer(static_cast<long long>(m.failed)));
   root.set("outcomes", std::move(outcomes));
 
-  // Uniform degradation-rung observability: rung-1 reference interpolation
-  // and the content-addressed solve cache report side by side.
-  Json cache = Json::object();
-  Json reference = Json::object();
-  reference
-      .set("families",
-           Json::integer(static_cast<long long>(cache_.families())))
-      .set("points", Json::integer(static_cast<long long>(cache_.size())))
-      .set("lookups",
-           Json::integer(static_cast<long long>(cache_.lookups())))
-      .set("hits", Json::integer(static_cast<long long>(cache_.hits())));
-  cache.set("reference", std::move(reference));
-  if (config_.solve_cache != nullptr)
+  if (config_.solve_cache != nullptr) {
+    Json cache = Json::object();
     cache.set("solve", config_.solve_cache->cache_json());
-  root.set("cache", std::move(cache));
-
-  Json breaker = Json::object();
-  breaker.set("kernel", Json::string(breaker_.kernel()))
-      .set("state", Json::string(breaker_state_name(breaker_.state())))
-      .set("ticks",
-           Json::integer(static_cast<long long>(breaker_.ticks())))
-      .set("opens", Json::integer(static_cast<long long>(breaker_.opens())))
-      .set("short_circuits",
-           Json::integer(static_cast<long long>(breaker_.short_circuits())));
-  Json transitions = Json::array();
-  for (const BreakerTransition& t : breaker_.transitions()) {
-    Json entry = Json::object();
-    entry.set("tick", Json::integer(static_cast<long long>(t.tick)))
-        .set("from", Json::string(breaker_state_name(t.from)))
-        .set("to", Json::string(breaker_state_name(t.to)))
-        .set("reason", Json::string(t.reason));
-    transitions.push(std::move(entry));
+    root.set("cache", std::move(cache));
   }
-  breaker.set("transitions", std::move(transitions));
-  root.set("breaker", std::move(breaker));
-
   return root;
 }
 

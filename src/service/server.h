@@ -13,37 +13,32 @@
 //   deadline    Each admitted request runs under a RunContext whose
 //               monotonic budget is `deadline_ns` (0 = none), merged with
 //               any tighter ambient deadline of the caller.
-//   retry       kNonFinite / kMaxIterations failures of the full solve are
-//               retried up to RetryPolicy::max_attempts with exponential
-//               backoff and seeded jitter — a pure function of (policy,
-//               request key, attempt), bitwise reproducible everywhere.
-//   breaker     One CircuitBreaker guards the "eq13/solve"
-//               kernel. When it is open, requests skip the solve entirely
-//               and step down the degradation ladder.
-//   degradation Full quasi-2D solve -> conservative cache interpolation ->
-//               analytic quasi-1D bound (degrade.h). Degraded responses
-//               carry degradation_level and conservative = true.
+//   solve       Exactly one full quasi-2D solve attempt. The kernel is
+//               deterministic, so a second attempt on the same input could
+//               only fail the same way.
+//   degradation A failed attempt is answered by the analytic quasi-1D bound
+//               (degrade.h), degraded and conservative. An interrupted
+//               attempt (deadline, cancel) gets its typed error instead.
 //
-// Responses never escape as exceptions: every request — malformed, shed,
-// failed, degraded — yields exactly one terminal Response. With fault
-// injection disarmed the full batch output is bit-identical for every
-// DSMT_THREADS value (admission is serial, the solve is deterministic, and
-// parallel_map is index-addressed).
+// A reply is a function of its own request: no state carries from one
+// request to the next, apart from the optional solve cache, whose hits
+// replay the cold reply's bytes. Responses never escape as exceptions:
+// every request — malformed, shed, failed, degraded — yields exactly one
+// terminal Response. With fault injection disarmed the full batch output is
+// bit-identical for every DSMT_THREADS value (admission is serial, the solve
+// is deterministic, and parallel_for is index-addressed).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/solve_cache.h"
 #include "report/json.h"
-#include "service/breaker.h"
 #include "service/degrade.h"
 #include "service/request.h"
-#include "service/retry.h"
 
 namespace dsmt::service {
 
@@ -53,13 +48,6 @@ struct ServerConfig {
   /// Per-request deadline budget [ns] (0 = none). Merged with any tighter
   /// ambient deadline already installed by the caller.
   std::uint64_t deadline_ns = 0;
-  RetryPolicy retry{};
-  BreakerConfig breaker{};
-  /// Actually sleep the scheduled backoff between attempts. Tests disable
-  /// it: the schedule (recorded in Response::backoff_ns) is what matters.
-  bool sleep_on_backoff = true;
-  bool enable_interpolation = true;  ///< ladder rung 1
-  bool enable_analytic_bound = true;  ///< ladder rung 2
   /// Publish this server's service_json() under the sign-off "service" key
   /// (core/signoff.h) for the server's lifetime.
   bool publish_signoff = true;
@@ -72,14 +60,12 @@ struct ServerConfig {
 
 /// Monotonic counters since construction (snapshot).
 struct ServerMetrics {
-  std::uint64_t received = 0;   ///< requests seen at admission
-  std::uint64_t admitted = 0;   ///< entered the bounded queue
-  std::uint64_t shed = 0;       ///< kRejectedOverload at admission
-  std::uint64_t ok_full = 0;    ///< answered by the full quasi-2D solve
-  std::uint64_t ok_interpolated = 0;  ///< answered by ladder rung 1
-  std::uint64_t ok_analytic = 0;      ///< answered by ladder rung 2
-  std::uint64_t failed = 0;     ///< terminal non-kOk responses
-  std::uint64_t retries = 0;    ///< backoff pauses scheduled
+  std::uint64_t received = 0;     ///< requests seen at admission
+  std::uint64_t admitted = 0;     ///< entered the bounded queue
+  std::uint64_t shed = 0;         ///< kRejectedOverload at admission
+  std::uint64_t ok_full = 0;      ///< answered by the full quasi-2D solve
+  std::uint64_t ok_analytic = 0;  ///< answered by the analytic rung
+  std::uint64_t failed = 0;       ///< terminal non-kOk responses
 };
 
 class Server {
@@ -95,40 +81,30 @@ class Server {
   /// that interruption status — even then the returned vector is complete.
   std::vector<Response> submit_batch(const std::vector<Request>& batch);
 
-  /// Serves one request, bypassing admission (it always "fits"). `index`
-  /// seeds the retry jitter key together with request.id.
-  Response handle(const Request& request, std::size_t index = 0);
-
-  /// Pre-seeds the rung-1 reference cache by solving `request` directly
-  /// (no retry, no breaker). Returns false when the solve failed or the
-  /// request was malformed; the server is untouched in that case.
-  bool warm(const Request& request);
+  /// Serves one request, bypassing admission (it always "fits"). The
+  /// second argument (the caller's sequence number) does not affect the
+  /// reply.
+  Response handle(const Request& request, std::size_t = 0);
 
   ServerMetrics metrics() const;
-  const CircuitBreaker& breaker() const { return breaker_; }
-  const ReferenceCache& cache() const { return cache_; }
   const ServerConfig& config() const { return config_; }
 
-  /// The sign-off "service" section: admission/outcome counters, cache
-  /// occupancy, and the breaker's state and full transition history.
+  /// The sign-off "service" section: admission and outcome counters, and
+  /// the solve cache's section when one is attached.
   report::Json service_json() const;
 
  private:
-  Response execute(const Request& request, std::size_t index);
-  Response guarded_execute(const Request& request, std::size_t index);
+  Response execute(const Request& request);
+  Response guarded_execute(const Request& request);
   Response shed_response(const Request& request);
 
   const ServerConfig config_;
-  CircuitBreaker breaker_;
-  ReferenceCache cache_;
   std::atomic<std::uint64_t> received_{0};
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> ok_full_{0};
-  std::atomic<std::uint64_t> ok_interpolated_{0};
   std::atomic<std::uint64_t> ok_analytic_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> retries_{0};
 };
 
 }  // namespace dsmt::service

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -11,11 +12,11 @@
 #include <thread>
 #include <utility>
 
-#include "cache/response.h"
+#include "cache/entry.h"
 #include "core/run_context.h"
 #include "core/signoff.h"
+#include "core/splitmix.h"
 #include "core/status.h"
-#include "core/units.h"
 #include "service/degrade.h"
 #include "service/request.h"
 #include "supervise/protocol.h"
@@ -56,8 +57,7 @@ StatusCode status_from_name(const std::string& name) {
       StatusCode::kNoBracket,    StatusCode::kMaxIterations,
       StatusCode::kNonFinite,    StatusCode::kSingularSystem,
       StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
-      StatusCode::kRejectedOverload, StatusCode::kBreakerOpen,
-      StatusCode::kWorkerCrashed,
+      StatusCode::kRejectedOverload, StatusCode::kWorkerCrashed,
   };
   for (const StatusCode code : kCodes)
     if (name == core::status_name(code)) return code;
@@ -147,6 +147,28 @@ SuperviseConfig strip_child_cache(SuperviseConfig config) {
 
 }  // namespace
 
+std::uint64_t restart_backoff_ns(std::size_t slot, int restart) {
+  constexpr double kBaseNs = 1e6;  // 1 ms
+  constexpr double kCapNs = 1e9;   // 1 s
+  constexpr double kGrowth = 2.0;
+  constexpr double kJitter = 0.25;  // +/- 25%
+  constexpr std::uint64_t kSeed = 0x646d7374;  // "dsmt"
+  if (restart < 1) restart = 1;
+  // Exponential ramp by repeated multiplication (no pow(), so bit-stable
+  // everywhere), clamped at the cap each step so it cannot overflow.
+  double ramp = kBaseNs;
+  for (int i = 1; i < restart && ramp < kCapNs; ++i) ramp *= kGrowth;
+  ramp = std::min(ramp, kCapNs);
+  // One splitmix64 draw keyed on (seed, slot, restart) scales the ramp by a
+  // factor in [1 - kJitter, 1 + kJitter).
+  const std::uint64_t key =
+      core::splitmix64(0x73757056u ^ static_cast<std::uint64_t>(slot));
+  const std::uint64_t draw = core::splitmix64(
+      kSeed ^ core::splitmix64(key ^ static_cast<std::uint64_t>(restart)));
+  const double factor = 1.0 + kJitter * (2.0 * core::unit_double(draw) - 1.0);
+  return static_cast<std::uint64_t>(ramp * factor);
+}
+
 WorkerPool::WorkerPool(SuperviseConfig config)
     : config_(strip_child_cache(std::move(config))) {
   payload_cap_ = probe_payload_cap(config_.max_payload_bytes);
@@ -197,7 +219,8 @@ ExecuteResult WorkerPool::execute(const service::Request& request,
           ++stats_.requests;
           ++stats_.cache_hits;
         }
-        return to_result(cache::hit_response(request, ladder, hit));
+        return to_result(
+            service::full_response(request, ladder, cache::to_solution(hit)));
       } catch (const std::exception&) {
         // The key decodes but the problem no longer builds — fall through
         // to the normal path, which classifies the failure.
@@ -327,18 +350,15 @@ bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
   }
   if (!needs_fork) return true;
 
-  // Deterministic restart pacing: the PR 5 seeded-backoff schedule as a
-  // pure function of (slot, consecutive restart count) — bitwise identical
-  // across runs, with or without the sleep.
+  // Deterministic restart pacing: a pure function of (slot, consecutive
+  // restart count) — bitwise identical across runs, with or without the
+  // sleep.
   int restart_attempt = 1;
   {
     MutexLock lock(mu_);
     restart_attempt = slots_[index].consecutive_restarts + 1;
   }
-  const std::uint64_t delay_ns = service::backoff_ns(
-      config_.restart_backoff,
-      service::mix64(0x73757056u ^ static_cast<std::uint64_t>(index)),
-      restart_attempt);
+  const std::uint64_t delay_ns = restart_backoff_ns(index, restart_attempt);
   if (config_.sleep_on_restart_backoff && delay_ns > 0) {
     // Sleep in poll-interval chunks so a drain cancel or deadline is not
     // blocked behind the backoff.
@@ -560,28 +580,13 @@ ExecuteResult WorkerPool::quarantined_result(const service::Request& request,
                                              int crashes) {
   service::Response resp =
       base_response(request, StatusCode::kWorkerCrashed, std::string{});
-  if (config_.quarantine_analytic_bound &&
-      config_.service.enable_analytic_bound) {
+  if (config_.quarantine_analytic_bound) {
     // The analytic rung is closed-form and iteration-free: no crash
     // surface, so the parent can serve it directly — conservative by
-    // construction, same semantics as the in-process rung 2.
+    // construction, the same reply as the in-process rung 2.
     try {
-      const service::LadderProblem ladder = service::build_problem(request);
-      const service::AnalyticBound bound =
-          service::analytic_quasi1d_bound(ladder.quasi1d);
-      resp.status = StatusCode::kOk;
-      resp.degraded = true;
-      resp.degradation_level = service::DegradationLevel::kAnalyticBound;
-      resp.conservative = true;
-      resp.t_metal_c = kelvin_to_celsius(bound.t_metal.value());
-      resp.delta_t_c =
-          bound.t_metal.value() - celsius_to_kelvin(request.t_ref_c).value();
-      resp.j_peak_MA_cm2 = to_MA_per_cm2(bound.j_peak.value());
-      resp.j_rms_MA_cm2 = to_MA_per_cm2(bound.j_rms.value());
-      resp.j_avg_MA_cm2 = to_MA_per_cm2(bound.j_avg.value());
-      if (request.kind == service::RequestKind::kDutyCyclePoint)
-        resp.jpeak_em_only_MA_cm2 = to_MA_per_cm2(
-            selfconsistent::jpeak_em_only(ladder.full).value());
+      resp = service::analytic_response(request,
+                                        service::build_problem(request));
       resp.diag.record(
           "supervise/quarantine", StatusCode::kOk, 2, 0.0,
           "hash " + hash_hex(hash) + " quarantined after " +

@@ -11,8 +11,8 @@
 //              child's rusage — both recorded in the SolverDiag chain of
 //              the kWorkerCrashed response the caller gets instead of
 //              silence.
-//   restart    the slot is reforked on next lease, after the PR 5 seeded
-//              backoff (service/retry.h: a pure function of slot index and
+//   restart    the slot is reforked on next lease, after a seeded backoff
+//              (restart_backoff_ns: a pure function of slot index and
 //              consecutive-restart count, bitwise reproducible). Rails
 //              (WorkerLimits) are reinstalled in every new child. All forks
 //              — initial fleet and lazy reforks alike — happen inside the
@@ -23,8 +23,9 @@
 //              workers `quarantine_threshold` times stops reaching workers:
 //              it is answered conservatively from the parent — the
 //              iteration-free analytic rung of the degradation ladder when
-//              enabled (closed-form, no crash surface), else a typed
-//              kWorkerCrashed error. No crash loops, no silent drops.
+//              quarantine_analytic_bound is set (closed-form, no crash
+//              surface), else a typed kWorkerCrashed error. No crash loops,
+//              no silent drops.
 //
 // Threading: execute() is safe from any number of pool threads. Slot
 // leasing, the quarantine table, and the counters live behind one mutex;
@@ -53,7 +54,6 @@
 #include "net/socket_io.h"
 #include "net/wire.h"
 #include "report/json.h"
-#include "service/retry.h"
 #include "service/server.h"
 #include "supervise/broker.h"
 #include "supervise/worker.h"
@@ -73,10 +73,8 @@ struct SuperviseConfig {
   /// Serve quarantined requests from the parent-side analytic rung
   /// (conservative, iteration-free) instead of a bare kWorkerCrashed error.
   bool quarantine_analytic_bound = true;
-  /// Seeded backoff between consecutive reforks of one slot (PR 5 policy).
-  service::RetryPolicy restart_backoff{};
-  /// Actually sleep the restart backoff (tests disable it; the schedule is
-  /// recorded in the diag chain either way).
+  /// Actually sleep the restart backoff (restart_backoff_ns) before a
+  /// refork. Tests disable it.
   bool sleep_on_restart_backoff = true;
   WorkerLimits limits{};  ///< rlimit rails + chaos arming for every child
   /// Parent-side cap on one reply wait [ns] (0 = ambient RunContext only).
@@ -111,6 +109,12 @@ struct SuperviseStats {
   std::uint64_t cache_hits = 0;  ///< served from the shared solve cache
 };
 
+/// Pause [ns] before the `restart`-th consecutive refork (1-based) of worker
+/// slot `slot`: 1 ms doubling per restart up to a 1 s cap, times a seeded
+/// jitter factor in [0.75, 1.25]. A pure function of its arguments, so the
+/// schedule is bitwise identical across runs and thread counts.
+std::uint64_t restart_backoff_ns(std::size_t slot, int restart);
+
 /// Outcome of one supervised request: the complete DSM1 reply frame for the
 /// client plus the parsed status for metrics and tests.
 struct ExecuteResult {
@@ -127,8 +131,9 @@ class WorkerPool {
 
   /// Serves one request through a leased worker. Always returns exactly one
   /// terminal result — forwarded reply, kWorkerCrashed, quarantine answer,
-  /// or interruption — never throws for per-request failures. `seq` seeds
-  /// the child's retry jitter exactly like the in-process path.
+  /// or interruption — never throws for per-request failures. `seq` is
+  /// passed to the child, which serves the request exactly like the
+  /// in-process path.
   ExecuteResult execute(const service::Request& request, std::uint64_t seq);
 
   /// Closes every channel (children exit on EOF), reaps with a bounded

@@ -27,7 +27,6 @@
 #include "cache/solve_cache.h"
 #include "cache/warm.h"
 #include "parallel/parallel_for.h"
-#include "service/degrade.h"
 #include "service/request.h"
 #include "service/server.h"
 #include "supervise/pool.h"
@@ -91,7 +90,6 @@ bool bitwise_equal(const CachedSolve& a, const CachedSolve& b) {
 
 service::ServerConfig quiet_config() {
   service::ServerConfig c;
-  c.sleep_on_backoff = false;
   c.publish_signoff = false;
   return c;
 }
@@ -99,7 +97,6 @@ service::ServerConfig quiet_config() {
 supervise::SuperviseConfig quiet_pool(std::size_t workers) {
   supervise::SuperviseConfig c;
   c.workers = workers;
-  c.service.sleep_on_backoff = false;
   c.service.publish_signoff = false;
   c.sleep_on_restart_backoff = false;
   c.publish_signoff = false;
@@ -461,7 +458,7 @@ TEST(ByteIdentity, WarmedLatticeCoversTheLoadgenStream) {
 
 // --- observability ----------------------------------------------------------
 
-TEST(Observability, ServiceJsonReportsReferenceAndSolveSections) {
+TEST(Observability, ServiceJsonReportsSolveSection) {
   service::ServerConfig cfg = quiet_config();
   cfg.solve_cache = std::make_shared<SolveCache>(SolveCacheConfig{});
   service::Server server(cfg);
@@ -472,10 +469,7 @@ TEST(Observability, ServiceJsonReportsReferenceAndSolveSections) {
   const report::Json doc = server.service_json();
   const report::Json* cache_node = doc.find("cache");
   ASSERT_NE(cache_node, nullptr);
-  const report::Json* reference = cache_node->find("reference");
-  ASSERT_NE(reference, nullptr);
-  for (const char* field : {"families", "points", "lookups", "hits"})
-    EXPECT_NE(reference->find(field), nullptr) << field;
+  EXPECT_EQ(cache_node->find("reference"), nullptr);
   const report::Json* solve = cache_node->find("solve");
   ASSERT_NE(solve, nullptr);
   for (const char* field :
@@ -484,29 +478,9 @@ TEST(Observability, ServiceJsonReportsReferenceAndSolveSections) {
         "torn_truncated", "refused_stamp", "durable"})
     EXPECT_NE(solve->find(field), nullptr) << field;
 
-  // Without an attached solve cache the reference section still reports.
+  // Without an attached solve cache there is no cache section at all.
   service::Server bare(quiet_config());
-  const report::Json bare_doc = bare.service_json();
-  const report::Json* bare_cache = bare_doc.find("cache");
-  ASSERT_NE(bare_cache, nullptr);
-  EXPECT_NE(bare_cache->find("reference"), nullptr);
-}
-
-TEST(Observability, ReferenceCacheCountsLookupsAndHits) {
-  service::ReferenceCache reference;
-  // Two points bracketing duty 0.2; the conservative probe returns the
-  // r' >= r one and must now be COUNTED (rung-1 hits used to be invisible
-  // in sign-off).
-  reference.insert("family", 0.1, to_solution(sample_value(1)));
-  reference.insert("family", 0.3, to_solution(sample_value(2)));
-  service::ReferencePoint out;
-  ASSERT_TRUE(reference.conservative_at("family", 0.2, out));
-  EXPECT_EQ(reference.lookups(), 1u);
-  EXPECT_EQ(reference.hits(), 1u);
-  service::ReferencePoint missing;
-  EXPECT_FALSE(reference.conservative_at("missing-family", 0.2, missing));
-  EXPECT_EQ(reference.lookups(), 2u);
-  EXPECT_EQ(reference.hits(), 1u);
+  EXPECT_EQ(bare.service_json().find("cache"), nullptr);
 }
 
 }  // namespace

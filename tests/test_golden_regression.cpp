@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "golden_cases.h"
@@ -28,6 +29,12 @@
 #endif
 
 namespace dsmt::golden {
+
+// Names each case by its snapshot file. Without this gtest prints the raw
+// bytes of the two pointers, which ASLR moves on every run, so the listed
+// test names (and the ctest names discovered from them) changed per build.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.file; }
+
 namespace {
 
 constexpr double kRelTol = 1e-12;

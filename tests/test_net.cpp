@@ -159,7 +159,6 @@ class NetServerTest : public ::testing::Test {
     config.tick_ms = 5;
     config.idle_timeout_ticks = 400;   // 2 s — far beyond any healthy test
     config.drain_timeout_ticks = 400;
-    config.service.sleep_on_backoff = false;
     config.service.publish_signoff = false;
     return config;
   }
@@ -456,7 +455,7 @@ TEST_F(NetServerTest, RejectsRequestsBeyondInflightCapWithWellFormedFrame) {
   EXPECT_EQ(stats.rejected_inflight, 1u);
 }
 
-TEST_F(NetServerTest, PingReportsBreakerAndDegradationState) {
+TEST_F(NetServerTest, PingReportsConnectionAndDrainState) {
   start();
   Client client(path());
   ASSERT_TRUE(client.connected());
@@ -471,16 +470,16 @@ TEST_F(NetServerTest, PingReportsBreakerAndDegradationState) {
   const report::Json* draining = doc.find("draining");
   ASSERT_NE(draining, nullptr);
   EXPECT_FALSE(draining->as_bool());
-  const report::Json* breaker = doc.find("breaker");
-  ASSERT_NE(breaker, nullptr);
-  const report::Json* state = breaker->find("state");
-  ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->as_string(), "closed");
-  const report::Json* degradation = doc.find("degradation");
-  ASSERT_NE(degradation, nullptr);
-  const report::Json* interp = degradation->find("interpolation");
-  ASSERT_NE(interp, nullptr);
-  EXPECT_TRUE(interp->as_bool());
+  const report::Json* connections = doc.find("connections");
+  ASSERT_NE(connections, nullptr);
+  EXPECT_EQ(connections->as_integer(), 1);
+  const report::Json* inflight = doc.find("inflight");
+  ASSERT_NE(inflight, nullptr);
+  EXPECT_EQ(inflight->as_integer(), 0);
+  // No cross-request service state is left to report, and with no solve
+  // cache or worker fleet attached neither section appears.
+  for (const char* gone : {"breaker", "degradation", "cache", "supervise"})
+    EXPECT_EQ(doc.find(gone), nullptr) << gone;
 }
 
 TEST_F(NetServerTest, DrainFinishesInflightWorkBeforeClosing) {
@@ -628,7 +627,6 @@ class NetIsolateTest : public NetServerTest {
   void start_isolated() {
     supervise::SuperviseConfig sup;
     sup.workers = 2;
-    sup.service.sleep_on_backoff = false;
     sup.service.publish_signoff = false;
     sup.sleep_on_restart_backoff = false;
     sup.publish_signoff = false;

@@ -1,9 +1,9 @@
-// Service-layer robustness suite (ctest label `service`): deterministic
-// retry/backoff, breaker state machine under ScopedFault injection, bounded
-// admission with explicit shedding, the conservative degradation ladder, and
-// bit-identical batch responses across thread counts. Arms process-global
-// fault plans and mutates the global thread count, so it lives in its own
-// executable like the fault-injection and resilience suites.
+// Service-layer robustness suite (ctest label `service`): one solve attempt
+// per request under ScopedFault injection, bounded admission with explicit
+// shedding, the conservative analytic rung, and bit-identical batch
+// responses across thread counts. Arms process-global fault plans and
+// mutates the global thread count, so it lives in its own executable like
+// the fault-injection and resilience suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "numeric/fault_injection.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
+#include "selfconsistent/batch.h"
 #include "service/server.h"
 
 namespace dsmt::service {
@@ -45,7 +46,6 @@ Request wire_request(const std::string& id, double duty = 0.1,
 
 ServerConfig quiet_config() {
   ServerConfig c;
-  c.sleep_on_backoff = false;
   c.publish_signoff = false;
   return c;
 }
@@ -53,259 +53,6 @@ ServerConfig quiet_config() {
 struct ThreadCountGuard {
   ~ThreadCountGuard() { parallel::set_thread_count(0); }
 };
-
-// --- retry/backoff determinism ---------------------------------------------
-
-TEST(Retry, RetryableStatuses) {
-  EXPECT_TRUE(retryable(core::StatusCode::kNonFinite));
-  EXPECT_TRUE(retryable(core::StatusCode::kMaxIterations));
-  EXPECT_FALSE(retryable(core::StatusCode::kOk));
-  EXPECT_FALSE(retryable(core::StatusCode::kInvalidInput));
-  EXPECT_FALSE(retryable(core::StatusCode::kNoBracket));
-  EXPECT_FALSE(retryable(core::StatusCode::kDeadlineExceeded));
-  EXPECT_FALSE(retryable(core::StatusCode::kCancelled));
-}
-
-TEST(Retry, BackoffIsPureAndBounded) {
-  const RetryPolicy policy;
-  const std::uint64_t key = request_key("req-7", 7);
-  for (int attempt = 1; attempt <= 6; ++attempt) {
-    const std::uint64_t a = backoff_ns(policy, key, attempt);
-    const std::uint64_t b = backoff_ns(policy, key, attempt);
-    EXPECT_EQ(a, b) << "attempt " << attempt;
-    // Within [ramp*(1-jitter), cap*(1+jitter)].
-    EXPECT_GE(a, static_cast<std::uint64_t>(
-                     static_cast<double>(policy.base_backoff_ns) *
-                     (1.0 - policy.jitter)));
-    EXPECT_LE(a, static_cast<std::uint64_t>(
-                     static_cast<double>(policy.max_backoff_ns) *
-                     (1.0 + policy.jitter) + 1.0));
-  }
-  // Distinct requests draw distinct jitter even at the same attempt.
-  EXPECT_NE(backoff_ns(policy, request_key("a", 0), 1),
-            backoff_ns(policy, request_key("b", 1), 1));
-  // Same id, different batch index: still distinct keys.
-  EXPECT_NE(request_key("dup", 3), request_key("dup", 4));
-}
-
-TEST(Retry, ScheduleBitwiseIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
-  const RetryPolicy policy;
-  constexpr std::size_t kN = 256;
-  auto schedule_at = [&](std::size_t threads) {
-    parallel::set_thread_count(threads);
-    return parallel::parallel_map<std::uint64_t>(kN, [&](std::size_t i) {
-      const std::uint64_t key =
-          request_key("req-" + std::to_string(i), i);
-      std::uint64_t folded = 0;
-      for (int attempt = 1; attempt <= 4; ++attempt)
-        folded = mix64(folded ^ backoff_ns(policy, key, attempt));
-      return folded;
-    });
-  };
-  const std::vector<std::uint64_t> serial = schedule_at(1);
-  const std::vector<std::uint64_t> wide = schedule_at(8);
-  EXPECT_EQ(serial, wide);
-}
-
-// --- breaker state machine ---------------------------------------------------
-
-TEST(Breaker, ClosedOpenHalfOpenClosed) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 2;
-  cfg.open_ticks = 2;
-  cfg.half_open_successes = 1;
-  CircuitBreaker breaker("kernel-under-test", cfg);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-
-  ASSERT_TRUE(breaker.allow());  // tick 1
-  breaker.on_failure(core::StatusCode::kNonFinite);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  ASSERT_TRUE(breaker.allow());  // tick 2
-  breaker.on_failure(core::StatusCode::kNonFinite);
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-
-  EXPECT_FALSE(breaker.allow());  // tick 3: cooling
-  EXPECT_FALSE(breaker.allow());  // tick 4: cooling
-  ASSERT_TRUE(breaker.allow());   // tick 5: half-open probe admitted
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.on_failure(core::StatusCode::kMaxIterations);  // probe fails
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-
-  EXPECT_FALSE(breaker.allow());  // tick 6
-  EXPECT_FALSE(breaker.allow());  // tick 7
-  ASSERT_TRUE(breaker.allow());   // tick 8: probe again
-  breaker.on_success();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-
-  EXPECT_EQ(breaker.opens(), 2u);
-  EXPECT_EQ(breaker.short_circuits(), 4u);
-  const std::vector<BreakerTransition> log = breaker.transitions();
-  ASSERT_EQ(log.size(), 5u);
-  EXPECT_EQ(log[0].to, BreakerState::kOpen);
-  EXPECT_EQ(log[1].to, BreakerState::kHalfOpen);
-  EXPECT_EQ(log[2].to, BreakerState::kOpen);
-  EXPECT_EQ(log[3].to, BreakerState::kHalfOpen);
-  EXPECT_EQ(log[4].to, BreakerState::kClosed);
-
-  core::SolverDiag diag;
-  breaker.record_into(diag);
-  ASSERT_EQ(diag.chain.size(), 5u);
-  EXPECT_EQ(diag.chain[0].kernel, "service/breaker[kernel-under-test]");
-  EXPECT_EQ(diag.chain[0].status, core::StatusCode::kBreakerOpen);
-  EXPECT_EQ(diag.chain[4].status, core::StatusCode::kOk);
-}
-
-TEST(Breaker, HalfOpenAdmitsOneProbeAtATime) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  cfg.open_ticks = 1;
-  CircuitBreaker breaker("k", cfg);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kNonFinite);
-  EXPECT_FALSE(breaker.allow());  // cooling
-  ASSERT_TRUE(breaker.allow());   // the probe slot
-  EXPECT_FALSE(breaker.allow());  // probe in flight: everyone else waits
-  breaker.on_success();
-  EXPECT_TRUE(breaker.allow());   // closed again
-  breaker.on_success();
-}
-
-TEST(Breaker, NonCountingProbeFailureReleasesTheProbeSlot) {
-  // A half-open probe that ends in a deadline/cancel or kInvalidInput says
-  // nothing about kernel health, but it still terminates the allowed
-  // attempt: the probe slot must come back, or the breaker wedges with
-  // probe_in_flight_ stuck true and every later allow() short-circuits.
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  cfg.open_ticks = 1;
-  CircuitBreaker breaker("k", cfg);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kNonFinite);  // opens
-  EXPECT_FALSE(breaker.allow());                     // cooling
-  ASSERT_TRUE(breaker.allow());                      // probe slot claimed
-  breaker.on_failure(core::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  ASSERT_TRUE(breaker.allow());  // fresh probe, not wedged
-  breaker.on_failure(core::StatusCode::kCancelled);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kInvalidInput);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_success();  // kernel is actually fine: probe closes it
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_success();
-}
-
-TEST(Breaker, InterruptionsAndBadInputDoNotCount) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  CircuitBreaker breaker("k", cfg);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kCancelled);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kInvalidInput);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kNonFinite);  // a real one: trips
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-}
-
-TEST(Breaker, FullCycleDrivenByScopedFaultThroughServer) {
-  ServerConfig cfg = quiet_config();
-  cfg.retry.max_attempts = 1;
-  cfg.breaker.failure_threshold = 2;
-  cfg.breaker.open_ticks = 1;
-  cfg.enable_interpolation = false;  // force the analytic rung, cache aside
-  Server server(cfg);
-
-  std::vector<Response> responses;
-  {
-    ScopedFault fault(kill_solver());
-    for (int i = 0; i < 4; ++i)
-      responses.push_back(
-          server.handle(wire_request("f" + std::to_string(i)), 0));
-  }
-  // Faults disarmed again. The reopen above restarted the cooling window,
-  // so one more poll short-circuits, then the probe is admitted, succeeds,
-  // and closes the breaker.
-  responses.push_back(server.handle(wire_request("cooling"), 0));
-  responses.push_back(server.handle(wire_request("probe"), 0));
-  responses.push_back(server.handle(wire_request("after"), 0));
-
-  // Every response while the solver was unavailable still answered,
-  // degraded and conservative, via the analytic rung.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(responses[i].ok()) << i;
-    EXPECT_TRUE(responses[i].degraded) << i;
-    EXPECT_EQ(responses[i].degradation_level,
-              DegradationLevel::kAnalyticBound) << i;
-    EXPECT_TRUE(responses[i].conservative) << i;
-  }
-  EXPECT_EQ(responses[0].attempts, 1);
-  EXPECT_EQ(responses[1].attempts, 1);   // second failure opens the breaker
-  EXPECT_EQ(responses[2].attempts, 0);   // short-circuited (cooling)
-  EXPECT_EQ(responses[3].attempts, 1);   // half-open probe, fails, reopens
-  EXPECT_EQ(responses[4].attempts, 0);   // cooling again after the reopen
-  EXPECT_EQ(responses[5].attempts, 1);   // probe after disarm: succeeds
-  EXPECT_FALSE(responses[5].degraded);
-  EXPECT_EQ(responses[5].degradation_level, DegradationLevel::kFull);
-  EXPECT_FALSE(responses[6].degraded);
-  EXPECT_EQ(server.breaker().state(), BreakerState::kClosed);
-
-  // The transition history tells the whole story, in order.
-  std::vector<BreakerState> to;
-  for (const BreakerTransition& t : server.breaker().transitions())
-    to.push_back(t.to);
-  const std::vector<BreakerState> expected = {
-      BreakerState::kOpen, BreakerState::kHalfOpen, BreakerState::kOpen,
-      BreakerState::kHalfOpen, BreakerState::kClosed};
-  EXPECT_EQ(to, expected);
-
-  // And the same history lands under the sign-off "service" key while the
-  // server is alive (it was created with publish_signoff=false, so register
-  // a publishing one to check the plumbing).
-  {
-    ServerConfig pub = quiet_config();
-    pub.publish_signoff = true;
-    Server publisher(pub);
-    auto source = core::signoff_service_source();
-    ASSERT_TRUE(static_cast<bool>(source));
-    const report::Json section = source();
-    EXPECT_NE(section.find("breaker"), nullptr);
-    EXPECT_NE(section.find("queue"), nullptr);
-  }
-  EXPECT_FALSE(static_cast<bool>(core::signoff_service_source()));
-}
-
-TEST(Retry, BackoffScheduleRecordedAndReproducible) {
-  ServerConfig cfg = quiet_config();
-  cfg.retry.max_attempts = 3;
-  cfg.breaker.failure_threshold = 100;  // keep the breaker out of the way
-  const Request req = wire_request("retry-me");
-
-  auto run_once = [&] {
-    Server server(cfg);
-    ScopedFault fault(kill_solver());
-    return server.handle(req, 42);
-  };
-  const Response first = run_once();
-  const Response second = run_once();
-
-  EXPECT_EQ(first.attempts, 3);
-  ASSERT_EQ(first.backoff_ns.size(), 2u);  // pauses between 3 attempts
-  EXPECT_EQ(first.backoff_ns, second.backoff_ns);
-  // The schedule is exactly the pure backoff function of (policy, key, n).
-  const std::uint64_t key = request_key(req.id, 42);
-  EXPECT_EQ(first.backoff_ns[0], backoff_ns(cfg.retry, key, 1));
-  EXPECT_EQ(first.backoff_ns[1], backoff_ns(cfg.retry, key, 2));
-  // Degraded but answered, with the failed attempts in the diag chain.
-  EXPECT_TRUE(first.ok());
-  EXPECT_TRUE(first.degraded);
-  EXPECT_FALSE(first.diag.chain.empty());
-}
 
 // --- admission control -------------------------------------------------------
 
@@ -341,7 +88,6 @@ TEST(Admission, ChaosBatchAlwaysGetsTerminalStructuredResponses) {
   parallel::set_thread_count(8);
   ServerConfig cfg = quiet_config();
   cfg.queue_capacity = 8;  // saturated: 1000 requests against 8 slots
-  cfg.retry.max_attempts = 2;
   Server server(cfg);
 
   std::vector<Request> batch;
@@ -365,7 +111,7 @@ TEST(Admission, ChaosBatchAlwaysGetsTerminalStructuredResponses) {
     if (resp.ok()) {
       if (resp.degraded) {
         ++degraded;
-        EXPECT_NE(resp.degradation_level, DegradationLevel::kFull);
+        EXPECT_EQ(resp.degradation_level, DegradationLevel::kAnalyticBound);
         EXPECT_TRUE(resp.conservative);
       }
     } else {
@@ -379,14 +125,14 @@ TEST(Admission, ChaosBatchAlwaysGetsTerminalStructuredResponses) {
 
 TEST(Admission, BatchBitwiseIdenticalAcrossThreadCountsWhenDisarmed) {
   ThreadCountGuard guard;
-  std::vector<Request> batch;
+  std::vector<Request> mixed;
   for (int i = 0; i < 48; ++i) {
     if (i % 11 == 7) {
       // A malformed request rides along: its structured kInvalidInput
       // response must be deterministic too.
       Request bad = wire_request("bad-" + std::to_string(i));
       bad.duty_cycle = 0.0;
-      batch.push_back(bad);
+      mixed.push_back(bad);
     } else if (i % 5 == 3) {
       Request cell;
       cell.id = "cell-" + std::to_string(i);
@@ -394,69 +140,159 @@ TEST(Admission, BatchBitwiseIdenticalAcrossThreadCountsWhenDisarmed) {
       cell.technology = "NTRS-250nm-Cu";
       cell.level = 1 + i % 5;
       cell.duty_cycle = i % 2 == 0 ? 0.1 : 1.0;
-      batch.push_back(cell);
+      mixed.push_back(cell);
     } else {
-      batch.push_back(wire_request("w-" + std::to_string(i),
+      mixed.push_back(wire_request("w-" + std::to_string(i),
                                    i % 3 == 0 ? 0.1 : 0.3,
                                    0.35 + 0.02 * (i % 9)));
     }
   }
-  auto payload_at = [&](std::size_t threads) {
+
+  // Batches where unsolvable requests come before solvable ones. A reply
+  // that depended on earlier requests (a failure count, a result cached
+  // from another request) would differ from the reply the request gets
+  // alone, and with the thread count.
+  //   A: 400 requests on one Cu wire at j0 = 1e6 MA/cm^2, each with its
+  //      own t_ref_c. The first 200 (r = 0.01) bracket no root; the last
+  //      200 (r = 0.1) solve.
+  //   B: 40 blocks of 6 unsolvable requests at j0 = 1e7 MA/cm^2, each
+  //      followed by 4 at the paper's j0 = 0.6 MA/cm^2.
+  std::vector<Request> input_a;
+  std::vector<bool> solvable_a;
+  for (int f = 0; f < 400; ++f) {
+    Request r = wire_request("a-" + std::to_string(f), f < 200 ? 0.01 : 0.1);
+    r.j0_MA_cm2 = 1e6;
+    r.t_ref_c = 100.0 + 0.01 * f;
+    input_a.push_back(r);
+    solvable_a.push_back(f >= 200);
+  }
+  std::vector<Request> input_b;
+  std::vector<bool> solvable_b;
+  for (int block = 0; block < 40; ++block)
+    for (int k = 0; k < 10; ++k) {
+      Request r = wire_request("b-" + std::to_string(block) + "-" +
+                               std::to_string(k));
+      r.j0_MA_cm2 = k < 6 ? 1e7 : 0.6;
+      input_b.push_back(r);
+      solvable_b.push_back(k >= 6);
+    }
+
+  struct Run {
+    std::vector<Response> responses;
+    std::string payload;
+  };
+  const auto run_at = [](const std::vector<Request>& batch,
+                         std::size_t capacity, std::size_t threads) {
     parallel::set_thread_count(threads);
     ServerConfig cfg = quiet_config();
-    cfg.queue_capacity = 32;  // some shedding in the payload too
+    cfg.queue_capacity = capacity;
     Server server(cfg);
-    std::string payload;
-    for (const Response& resp : server.submit_batch(batch))
-      payload += response_to_json(resp).dump(2) + "\n";
-    return payload;
+    Run run;
+    run.responses = server.submit_batch(batch);
+    for (const Response& resp : run.responses)
+      run.payload += response_to_json(resp).dump(2) + "\n";
+    return run;
   };
-  const std::string serial = payload_at(1);
-  const std::string wide = payload_at(8);
-  EXPECT_EQ(serial, wide);
-  EXPECT_NE(serial.find("rejected-overload"), std::string::npos);
-  EXPECT_NE(serial.find("invalid-input"), std::string::npos);
+
+  // Some shedding in the mixed payload too.
+  const Run mixed_serial = run_at(mixed, 32, 1);
+  EXPECT_NE(mixed_serial.payload.find("rejected-overload"), std::string::npos);
+  EXPECT_NE(mixed_serial.payload.find("invalid-input"), std::string::npos);
+  for (const std::size_t threads : {2, 4, 8})
+    EXPECT_EQ(mixed_serial.payload, run_at(mixed, 32, threads).payload)
+        << "threads=" << threads;
+
+  const auto check_input = [&](const char* name,
+                               const std::vector<Request>& batch,
+                               const std::vector<bool>& solvable,
+                               std::size_t expect_solvable) {
+    const Run serial = run_at(batch, batch.size(), 1);
+    std::size_t full = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Response& resp = serial.responses[i];
+      ASSERT_TRUE(resp.ok()) << name << " " << resp.id;
+      EXPECT_EQ(resp.degradation_level, solvable[i]
+                                            ? DegradationLevel::kFull
+                                            : DegradationLevel::kAnalyticBound)
+          << name << " " << resp.id;
+      if (resp.degradation_level == DegradationLevel::kFull) ++full;
+    }
+    EXPECT_EQ(full, expect_solvable) << name;
+    for (const std::size_t threads : {2, 4, 8})
+      EXPECT_EQ(serial.payload, run_at(batch, batch.size(), threads).payload)
+          << name << " threads=" << threads;
+  };
+  check_input("A", input_a, solvable_a, 200);
+  check_input("B", input_b, solvable_b, 160);
 }
 
 // --- degradation ladder ------------------------------------------------------
 
-TEST(Degrade, InterpolationRungIsConservative) {
-  ServerConfig cfg = quiet_config();
-  cfg.retry.max_attempts = 1;
-  Server server(cfg);
+TEST(Degrade, KilledSolverGetsAnalyticRungAfterOneAttempt) {
+  Server server(quiet_config());
+  const Request probe = wire_request("probe");
 
-  // Warm the cache with the full solution at r' = 0.25 of this geometry.
-  ASSERT_TRUE(server.warm(wire_request("warm", 0.25)));
-
-  // Ground truth at the requested r = 0.1 (solver healthy).
-  const Response truth = server.handle(wire_request("truth", 0.1), 0);
-  ASSERT_TRUE(truth.ok());
-  ASSERT_FALSE(truth.degraded);
-
-  // Same geometry, solver down: rung 1 must serve the cached r' >= r point.
-  Response degraded;
+  // The fault injections one solve attempt takes under kill_solver().
+  int per_attempt = 0;
   {
     ScopedFault fault(kill_solver());
-    degraded = server.handle(wire_request("degraded", 0.1), 0);
+    EXPECT_THROW(selfconsistent::solve_one(build_problem(probe).full),
+                 SolveError);
+    per_attempt = numeric::fault::injection_count();
   }
-  ASSERT_TRUE(degraded.ok());
-  EXPECT_TRUE(degraded.degraded);
-  EXPECT_EQ(degraded.degradation_level, DegradationLevel::kInterpolated);
-  EXPECT_TRUE(degraded.conservative);
-  // Conservative direction: never promises more j_rms than the full solve,
-  // never reports a cooler wire than the point it served.
-  EXPECT_LE(degraded.j_rms_MA_cm2, truth.j_rms_MA_cm2 * (1.0 + 1e-12));
-  EXPECT_GT(degraded.j_rms_MA_cm2, 0.0);
+  ASSERT_GT(per_attempt, 0);
 
-  // With no cached point at r' >= r the rung is skipped (a smaller-r point
-  // would be optimistic): r = 0.5 > 0.25 falls through to the analytic rung.
-  Response analytic;
+  std::vector<Response> killed;
   {
     ScopedFault fault(kill_solver());
-    analytic = server.handle(wire_request("analytic", 0.5), 0);
+    for (int i = 0; i < 4; ++i) {
+      const int before = numeric::fault::injection_count();
+      killed.push_back(server.handle(wire_request("f" + std::to_string(i))));
+      // Exactly one solve attempt: no retry on the identical input.
+      EXPECT_EQ(numeric::fault::injection_count() - before, per_attempt) << i;
+    }
   }
-  ASSERT_TRUE(analytic.ok());
-  EXPECT_EQ(analytic.degradation_level, DegradationLevel::kAnalyticBound);
+  for (std::size_t i = 0; i < killed.size(); ++i) {
+    const Response& resp = killed[i];
+    EXPECT_TRUE(resp.ok()) << i;
+    EXPECT_TRUE(resp.degraded) << i;
+    EXPECT_EQ(resp.degradation_level, DegradationLevel::kAnalyticBound) << i;
+    EXPECT_TRUE(resp.conservative) << i;
+    std::size_t solves = 0;
+    for (const core::DiagEvent& ev : resp.diag.chain)
+      if (ev.kernel == "service/solve") ++solves;
+    EXPECT_EQ(solves, 1u) << i;
+    // No retry schedule exists to report, nor any pause to take.
+    const report::Json doc = response_to_json(resp);
+    EXPECT_EQ(doc.find("attempts"), nullptr) << i;
+    EXPECT_EQ(doc.find("backoff_ns"), nullptr) << i;
+  }
+
+  // Disarmed: the very next request gets the full solve. Nothing cools
+  // down, because no failure carries over from one request to the next.
+  const Response after = server.handle(probe);
+  EXPECT_TRUE(after.ok());
+  EXPECT_FALSE(after.degraded);
+  EXPECT_EQ(after.degradation_level, DegradationLevel::kFull);
+  const ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.ok_analytic, 4u);
+  EXPECT_EQ(m.ok_full, 1u);
+  EXPECT_EQ(m.failed, 0u);
+
+  // The counters land under the sign-off "service" key while a publishing
+  // server is alive.
+  {
+    ServerConfig pub = quiet_config();
+    pub.publish_signoff = true;
+    Server publisher(pub);
+    auto source = core::signoff_service_source();
+    ASSERT_TRUE(static_cast<bool>(source));
+    const report::Json section = source();
+    EXPECT_NE(section.find("queue"), nullptr);
+    EXPECT_NE(section.find("outcomes"), nullptr);
+    EXPECT_EQ(section.find("breaker"), nullptr);
+  }
+  EXPECT_FALSE(static_cast<bool>(core::signoff_service_source()));
 }
 
 TEST(Degrade, AnalyticBoundIsFeasibleAndBelowFullSolve) {
@@ -492,34 +328,6 @@ TEST(Degrade, AnalyticBoundIsFeasibleAndBelowFullSolve) {
     // truth on these geometries (grid resolution + min() slack).
     EXPECT_GT(bound.j_rms.value(), 0.4 * q1d.j_rms.value()) << duty;
   }
-}
-
-TEST(Degrade, ReferenceCacheServesSmallestDutyAtOrAbove) {
-  ReferenceCache cache;
-  selfconsistent::Solution sol;
-  sol.t_metal = units::Kelvin{380.0};
-  sol.j_rms = units::CurrentDensity{2.0e10};
-  cache.insert("fam", 0.5, sol);
-  sol.j_rms = units::CurrentDensity{3.0e10};
-  cache.insert("fam", 0.2, sol);
-
-  ReferencePoint point;
-  ASSERT_TRUE(cache.conservative_at("fam", 0.2, point));
-  EXPECT_DOUBLE_EQ(point.duty_cycle, 0.2);  // exact hit
-  ASSERT_TRUE(cache.conservative_at("fam", 0.3, point));
-  EXPECT_DOUBLE_EQ(point.duty_cycle, 0.5);  // smallest r' >= r
-  EXPECT_FALSE(cache.conservative_at("fam", 0.6, point));   // all r' < r
-  EXPECT_FALSE(cache.conservative_at("other", 0.2, point));  // no family
-  EXPECT_EQ(cache.families(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Unconverged or malformed points never enter the store.
-  sol.diag.status = core::StatusCode::kMaxIterations;
-  cache.insert("fam", 0.9, sol);
-  sol.diag.status = core::StatusCode::kOk;
-  cache.insert("fam", 0.0, sol);
-  cache.insert("fam", 1.5, sol);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 // --- request/response codec --------------------------------------------------
@@ -595,9 +403,9 @@ TEST(Codec, MalformedRequestsClassifyAsInvalidInput) {
   unknown_metal.wire.metal = "unobtainium";
   EXPECT_EQ(server.handle(unknown_metal, 0).status,
             core::StatusCode::kInvalidInput);
-  // ... and never move the breaker.
-  EXPECT_EQ(server.breaker().state(), BreakerState::kClosed);
+  // ... and get no degraded answer.
   EXPECT_EQ(server.metrics().failed, 2u);
+  EXPECT_EQ(server.metrics().ok_analytic, 0u);
 }
 
 TEST(Codec, ResponsePayloadNumbersAreFinite) {

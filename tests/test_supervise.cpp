@@ -57,7 +57,6 @@ service::Request wire_request(const std::string& id, double duty = 0.1,
 SuperviseConfig quiet_pool(std::size_t workers) {
   SuperviseConfig c;
   c.workers = workers;
-  c.service.sleep_on_backoff = false;
   c.service.publish_signoff = false;
   c.sleep_on_restart_backoff = false;
   c.publish_signoff = false;
@@ -128,6 +127,40 @@ TEST(SuperviseProtocol, MessageRoundTripAndStrictRejection) {
                              net::kDefaultMaxFrameBytes, seq, frame));
   // Payload over the configured cap is refused before any buffering.
   EXPECT_FALSE(split_message(message.data(), message.size(), 4, seq, frame));
+}
+
+// --- restart backoff ----------------------------------------------------------
+
+TEST(WorkerPool, RestartBackoffIsPureAndBounded) {
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    double ramp = 1e6;  // 1 ms, doubling per restart up to the 1 s cap
+    for (int restart = 1; restart <= 14; ++restart) {
+      const std::uint64_t a = restart_backoff_ns(slot, restart);
+      EXPECT_EQ(a, restart_backoff_ns(slot, restart)) << restart;
+      // Within +/-25% seeded jitter of the ramp.
+      EXPECT_GE(static_cast<double>(a), 0.75 * ramp - 1.0) << restart;
+      EXPECT_LE(static_cast<double>(a), 1.25 * ramp + 1.0) << restart;
+      ramp = ramp * 2.0 < 1e9 ? ramp * 2.0 : 1e9;
+    }
+  }
+  // Distinct slots draw distinct jitter at the same restart count.
+  EXPECT_NE(restart_backoff_ns(0, 1), restart_backoff_ns(1, 1));
+  // A restart count below 1 is treated as the first restart.
+  EXPECT_EQ(restart_backoff_ns(2, 0), restart_backoff_ns(2, 1));
+  // The schedule is pinned: the same values on every platform and build.
+  const std::vector<std::uint64_t> slot0 = {
+      1215878ull,   1629908ull,   3338210ull,   9686852ull,
+      14638944ull,  33213137ull,  71445007ull,  147890742ull,
+      312290650ull, 630557732ull, 1020000524ull, 1084881513ull};
+  const std::vector<std::uint64_t> slot2 = {
+      1016558ull,   2173356ull,   3855743ull,   9896685ull,
+      18155069ull,  28034185ull,  69149713ull,  96143606ull,
+      193865215ull, 549941116ull, 1213256343ull, 956710478ull};
+  for (int restart = 1; restart <= 12; ++restart) {
+    const auto k = static_cast<std::size_t>(restart - 1);
+    EXPECT_EQ(restart_backoff_ns(0, restart), slot0[k]) << restart;
+    EXPECT_EQ(restart_backoff_ns(2, restart), slot2[k]) << restart;
+  }
 }
 
 // --- clean path --------------------------------------------------------------
@@ -310,8 +343,8 @@ TEST(WorkerPool, OversizeRequestIsTypedRefusalNotACrash) {
 
 TEST(WorkerPool, OversizeReplyKeepsResultsAndElidesOnlyTheDiag) {
   // Fatten the reply's diag chain deterministically: exhausting the child's
-  // solver iterations drives the retry schedule and the degradation ladder,
-  // which append several records (plus backoff_ns) to a still-kOk response.
+  // solver iterations drives the solver's recovery chain and the analytic
+  // rung, which append several records to a still-kOk response.
   SuperviseConfig config = quiet_pool(1);
   config.limits.child_fault.kind = FaultKind::kExhaustIterations;
   config.limits.child_fault.kernel_substr = "selfconsistent";
@@ -533,7 +566,6 @@ TEST(ServiceAdmission, BadAllocDuringSolveIsShedAsOverload) {
   ScopedFault fault(plan);
 
   service::ServerConfig config;
-  config.sleep_on_backoff = false;
   config.publish_signoff = false;
   service::Server server(config);
   const service::Response resp = server.handle(wire_request("heap-gone"), 1);

@@ -205,7 +205,7 @@ RAW_LOCK_RE = re.compile(
 
 # R10 heuristic vocabulary. Primitive and standard-container types whose
 # mutation from two threads is a data race; internally synchronized class
-# types (CircuitBreaker, ReferenceCache, ...) and smart-pointer handles are
+# types (SolveCache, WorkerPool, ...) and smart-pointer handles are
 # deliberately not matched — their pointees are judged at their own
 # declarations.
 R10_TYPES = (

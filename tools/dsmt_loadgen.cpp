@@ -54,10 +54,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/splitmix.h"
 #include "net/wire.h"
 #include "report/json.h"
 #include "service/request.h"
-#include "service/retry.h"
 
 namespace {
 
@@ -306,9 +306,9 @@ void run_garbage_client(const Options& opt, int client, ClientResult& out) {
   std::uint64_t word = 0;
   for (std::size_t i = 0; i < junk.size(); ++i) {
     if (i % 8 == 0)
-      word = dsmt::service::mix64(opt.seed ^
-                                  (static_cast<std::uint64_t>(client) << 32) ^
-                                  (i / 8));
+      word = dsmt::core::splitmix64(opt.seed ^
+                                    (static_cast<std::uint64_t>(client) << 32) ^
+                                    (i / 8));
     junk[i] = static_cast<char>((word >> ((i % 8) * 8)) & 0xff);
   }
   if (static_cast<unsigned char>(junk[0]) == 'D') junk[0] = '\x7f';
@@ -505,9 +505,9 @@ int run_bitflip(const Options& opt) {
   }
   for (int k = 0; k < opt.flips; ++k) {
     // Two independent seeded draws per flip: byte position and bit index.
-    const std::uint64_t pos_draw = dsmt::service::mix64(
+    const std::uint64_t pos_draw = dsmt::core::splitmix64(
         opt.seed ^ (static_cast<std::uint64_t>(k) * 2 + 1));
-    const std::uint64_t bit_draw = dsmt::service::mix64(
+    const std::uint64_t bit_draw = dsmt::core::splitmix64(
         opt.seed ^ (static_cast<std::uint64_t>(k) * 2 + 2));
     const long pos =
         static_cast<long>(pos_draw % static_cast<std::uint64_t>(size));
