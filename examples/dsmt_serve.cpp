@@ -46,11 +46,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/warm.h"
 #include "net/server.h"
 #include "numeric/fault_injection.h"
+#include "parallel/parallel_for.h"
 #include "service/server.h"
 #include "supervise/pool.h"
 
@@ -132,11 +134,15 @@ int run_batch(const std::map<std::string, std::string>& opts,
   const std::vector<service::Response> responses = server.submit_batch(batch);
 
   int failures = 0;
-  report::Json responses_json = report::Json::array();
-  for (const service::Response& resp : responses) {
+  for (const service::Response& resp : responses)
     if (!resp.ok()) ++failures;
-    responses_json.push(service::response_to_json(resp));
-  }
+  // Each reply encodes on its own, so encoding fans out like the solves.
+  report::Json responses_json = report::Json::array();
+  for (report::Json& reply : parallel::parallel_map<report::Json>(
+           responses.size(), [&](std::size_t i) {
+             return service::response_to_json(responses[i]);
+           }))
+    responses_json.push(std::move(reply));
   report::Json root = report::Json::object();
   root.set("responses", std::move(responses_json));
   root.set("service", server.service_json());

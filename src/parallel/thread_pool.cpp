@@ -1,5 +1,10 @@
 #include "parallel/thread_pool.h"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -46,12 +51,55 @@ std::size_t env_thread_count() {
   return hw >= 1 ? hw : 1;
 }
 
+/// The CPUs this thread may run on, starting after the one it runs on now
+/// and wrapping round to it; empty where the platform does not say.
+std::vector<int> cpus_after_current() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0)
+    return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  const auto after = std::upper_bound(cpus.begin(), cpus.end(), sched_getcpu());
+  std::rotate(cpus.begin(), after, cpus.end());
+#endif
+  return cpus;
+}
+
+/// Moves the calling thread to `cpu`, then widens its affinity back to what
+/// it was (see "Placement" in thread_pool.h).
+void start_on_cpu(int cpu) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0)
+    return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0)
+    (void)pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
+#else
+  (void)cpu;
+#endif
+}
+
 class Pool {
  public:
+  // Worker i starts on the i-th allowed CPU after its creator's, so the
+  // workers spread over the CPUs before any of them shares one.
   explicit Pool(std::size_t n) {
+    const std::vector<int> cpus = cpus_after_current();
     workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
+    for (std::size_t i = 0; i < n; ++i) {
+      const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
+      workers_.emplace_back([this, cpu] {
+        if (cpu >= 0) start_on_cpu(cpu);
+        worker_loop();
+      });
+    }
   }
 
   ~Pool() {
@@ -120,8 +168,19 @@ Mutex g_config_mu;  // NOLINT(cert-err58-cpp)
 std::size_t g_override DSMT_GUARDED_BY(g_config_mu) = 0;
 Pool* g_pool DSMT_GUARDED_BY(g_config_mu) = nullptr;
 
+// The resolved count, 0 until first use. Written only under g_config_mu
+// (set_thread_count clears it there), read without the lock, so the hot
+// thread_count() path is one atomic load and DSMT_THREADS / the /sys read
+// behind hardware_concurrency() happen once per configuration.
+std::atomic<std::size_t> g_resolved{0};
+
 std::size_t desired_count() DSMT_REQUIRES(g_config_mu) {
-  return g_override > 0 ? g_override : env_thread_count();
+  std::size_t n = g_resolved.load(std::memory_order_relaxed);
+  if (n == 0) {
+    n = g_override > 0 ? g_override : env_thread_count();
+    g_resolved.store(n, std::memory_order_release);
+  }
+  return n;
 }
 
 Pool& pool() DSMT_EXCLUDES(g_config_mu) {
@@ -138,6 +197,8 @@ Pool& pool() DSMT_EXCLUDES(g_config_mu) {
 }  // namespace
 
 std::size_t thread_count() {
+  const std::size_t n = g_resolved.load(std::memory_order_acquire);
+  if (n != 0) return n;
   MutexLock lock(g_config_mu);
   return desired_count();
 }
@@ -145,6 +206,7 @@ std::size_t thread_count() {
 void set_thread_count(std::size_t n) {
   MutexLock lock(g_config_mu);
   g_override = n;
+  g_resolved.store(0, std::memory_order_release);
   // The pool is rebuilt lazily on next use; deleting here while idle keeps
   // stale workers from outliving a test that shrank the count.
   delete g_pool;

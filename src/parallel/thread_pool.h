@@ -6,11 +6,19 @@
 // determinism guarantee. The pool itself is a plain task queue — it knows
 // nothing about partitioning or ordering.
 //
-// Sizing: the global pool is built lazily on first use with
-// `configured_thread_count()` threads — the `DSMT_THREADS` environment
-// variable when set (clamped to [1, 256]), otherwise
-// std::thread::hardware_concurrency(). Tests and benches may override at
-// runtime with set_thread_count(); the pool is rebuilt when idle.
+// Sizing: the global pool is built lazily on first use with thread_count()
+// threads — the `DSMT_THREADS` environment variable when set (clamped to
+// [1, 256]), otherwise std::thread::hardware_concurrency(). Both are read
+// once, at first use, and the result is cached; set_thread_count(0)
+// re-reads them. Tests and benches may override at runtime with
+// set_thread_count(); the pool is rebuilt when idle.
+//
+// Placement: worker i starts on the i-th CPU of the process's allowed set
+// after the creating thread's own (wrapping), then widens its affinity
+// back to the whole set. Where the kernel balances load this is only a
+// starting point; where it does not (a cpuset with sched_load_balance off,
+// isolated CPUs) a new thread never leaves its creator's CPU, and without
+// the move the whole pool would share one CPU.
 #pragma once
 
 #include <cstddef>
@@ -21,23 +29,24 @@ namespace dsmt::parallel {
 
 /// Thread count the global pool uses: the explicit set_thread_count()
 /// override if one is active, else DSMT_THREADS, else hardware concurrency.
-/// Always >= 1.
+/// Resolved once and cached, so a call is one atomic load and takes no
+/// lock. Always >= 1.
 std::size_t thread_count();
 
 /// Overrides the global pool size (rebuilding the pool on next use), or
-/// restores the DSMT_THREADS/hardware default when n == 0. Must not be
-/// called from inside a parallel region.
+/// restores the DSMT_THREADS/hardware default when n == 0, re-reading both.
+/// Must not be called from inside a parallel region.
 void set_thread_count(std::size_t n);
 
 /// True on a pool worker thread. parallel_for uses this to run nested
 /// parallel regions inline instead of deadlocking on the shared queue.
 bool on_worker_thread();
 
-/// True while the current thread is executing a parallel_for block — which
-/// includes the *calling* thread running block 0 of its own region, not
+/// True while the current thread is executing parallel_for chunks — which
+/// includes the *calling* thread running chunks of its own region, not
 /// just pool workers. parallel_for nests inline whenever this holds:
-/// without it, a nested region launched from the caller-run block would fan
-/// out concurrently with the outer region's worker blocks, and the nesting
+/// without it, a nested region launched from a caller-run chunk would fan
+/// out concurrently with the outer region's worker chunks, and the nesting
 /// contract ("inner loops run serially") would silently only be true on
 /// workers.
 bool in_parallel_region();
@@ -45,7 +54,7 @@ bool in_parallel_region();
 namespace detail {
 
 /// RAII marker for in_parallel_region(), installed by parallel_for around
-/// the caller-run block. Depth-counted so sibling regions compose.
+/// the caller-run chunks. Depth-counted so sibling regions compose.
 class RegionGuard {
  public:
   RegionGuard();

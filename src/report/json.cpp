@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/status.h"
+#include "parallel/parallel_for.h"
 
 namespace dsmt::report {
 
@@ -175,6 +176,19 @@ void newline_indent(std::string& out, int indent, int depth) {
   if (indent < 0) return;
   out += '\n';
   out.append(static_cast<std::size_t>(indent) * depth, ' ');
+}
+
+/// Arrays with at least this many items dump their items across the pool.
+/// Smaller ones, such as a reply's diag chain, dump serially: a fan-out's
+/// fixed cost of tens of microseconds would dominate their dump.
+constexpr std::size_t kParallelDumpItems = 256;
+
+/// True when an array of `items` should dump across the pool: it is large
+/// enough, more than one thread is configured, and no parallel region is
+/// active (a nested array dumps serially inside its caller's block).
+bool dumps_in_parallel(std::size_t items) {
+  return items >= kParallelDumpItems && !parallel::on_worker_thread() &&
+         !parallel::in_parallel_region() && parallel::thread_count() > 1;
 }
 
 /// Recursive-descent JSON parser. Strict: one document, no trailing bytes,
@@ -490,12 +504,34 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
         break;
       }
       out += '[';
-      bool first = true;
-      for (const auto& v : items_) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        v.dump_to(out, indent, depth + 1);
+      if (dumps_in_parallel(items_.size())) {
+        // One part per item, written by the same writer at the depth the
+        // serial loop below uses, joined in index order: the same bytes.
+        const std::vector<std::string> parts =
+            parallel::parallel_map<std::string>(
+                items_.size(), [&](std::size_t i) {
+                  std::string part;
+                  items_[i].dump_to(part, indent, depth + 1);
+                  return part;
+                });
+        std::size_t bytes = out.size();
+        for (const std::string& part : parts) bytes += part.size();
+        const std::size_t margin =
+            indent < 0 ? 0 : static_cast<std::size_t>(indent) * (depth + 1);
+        out.reserve(bytes + parts.size() * (2 + margin) + margin);
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+          if (i > 0) out += ',';
+          newline_indent(out, indent, depth + 1);
+          out += parts[i];
+        }
+      } else {
+        bool first = true;
+        for (const auto& v : items_) {
+          if (!first) out += ',';
+          first = false;
+          newline_indent(out, indent, depth + 1);
+          v.dump_to(out, indent, depth + 1);
+        }
       }
       newline_indent(out, indent, depth);
       out += ']';

@@ -24,8 +24,8 @@
 //  - One poisoned lane cannot perturb a neighbor: lanes share the hoisted
 //    term layout and the code path, never values, and a failed lane is
 //    recorded and left behind before the next lane starts.
-//  - The batch decomposes over parallel_for in static contiguous blocks
-//    mirroring parallel_for's own split, so results are independent of
+//  - The batch decomposes over parallel_for in static contiguous blocks,
+//    one per thread, so results are independent of
 //    DSMT_THREADS; per-lane fault hooks and polls fire the same number of
 //    times in any decomposition.
 #include "selfconsistent/batch.h"
@@ -537,10 +537,11 @@ template <bool kHooked>
 void run_lanes(const BatchProblem& problems, BatchSolution& out,
                const LaneCallback& on_lane_done) {
   const std::size_t n = problems.size();
-  // Static contiguous blocks mirroring parallel_for's own split. Lanes are
+  // Static contiguous blocks, one per thread. Lanes are
   // fully independent, so the block boundaries (and hence DSMT_THREADS)
   // cannot change any lane's bits; they only change which thread runs it.
-  std::size_t workers = parallel::thread_count();
+  // A 1-lane batch (solve_one) is one block and never asks for the count.
+  std::size_t workers = n == 1 ? 1 : parallel::thread_count();
   if (workers < 1) workers = 1;
   const std::size_t blocks = workers < n ? workers : n;
   const std::size_t base = n / blocks;

@@ -6,6 +6,7 @@
 
 #include "materials/dielectric.h"
 #include "materials/metal.h"
+#include "parallel/parallel_for.h"
 #include "report/diagnostics.h"
 #include "selfconsistent/sweep.h"
 #include "tech/ntrs.h"
@@ -183,11 +184,11 @@ std::vector<Request> parse_batch(const std::string& text) {
   } else {
     bad_request("batch document is neither an array nor an object");
   }
-  std::vector<Request> requests;
-  requests.reserve(list->size());
-  for (std::size_t i = 0; i < list->size(); ++i)
-    requests.push_back(request_from_json(list->at(i)));
-  return requests;
+  // Elements decode independently; parallel_for rethrows the lowest failing
+  // index, so a malformed batch reports what a serial loop would hit first.
+  return parallel::parallel_map<Request>(list->size(), [&](std::size_t i) {
+    return request_from_json(list->at(i));
+  });
 }
 
 LadderProblem build_problem(const Request& r) {

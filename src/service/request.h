@@ -95,6 +95,8 @@ report::Json response_to_json(const Response& response);
 
 /// Parses a batch document: a bare array of request objects, or an object
 /// carrying a "requests" array. Throws dsmt::SolveError (kInvalidInput).
+/// Elements decode in parallel; a malformed batch throws the error of its
+/// lowest malformed index, the one a serial loop would meet first.
 std::vector<Request> parse_batch(const std::string& text);
 
 /// The ladder's working set for one request: the quasi-2D problem the full

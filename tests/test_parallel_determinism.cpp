@@ -4,7 +4,19 @@
 // SolverDiag chain intact — parallelization changes wall-clock, nothing else.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -13,6 +25,8 @@
 #include "numeric/constants.h"
 #include "numeric/fault_injection.h"
 #include "parallel/parallel_for.h"
+#include "report/json.h"
+#include "selfconsistent/batch.h"
 #include "selfconsistent/sweep.h"
 #include "tech/ntrs.h"
 #include "thermal/fd2d.h"
@@ -260,6 +274,223 @@ TEST(ParallelDeterminism, NestedParallelForRunsInline) {
     parallel::parallel_for(16, [&](std::size_t) { sums[i] += 1; });
   });
   for (int s : sums) EXPECT_EQ(s, 16);
+  parallel::set_thread_count(0);
+}
+
+TEST(ParallelDeterminism, ThreadCountResolvedOnceUntilReset) {
+  const char* env = std::getenv("DSMT_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  parallel::set_thread_count(0);
+  const std::size_t resolved = parallel::thread_count();
+  const std::size_t other = resolved == 7 ? 6 : 7;
+  ::setenv("DSMT_THREADS", std::to_string(other).c_str(), 1);
+  // The default is read once: a later environment change is not seen...
+  EXPECT_EQ(parallel::thread_count(), resolved);
+  // ...until set_thread_count(0) re-reads it.
+  parallel::set_thread_count(0);
+  EXPECT_EQ(parallel::thread_count(), other);
+  if (env != nullptr)
+    ::setenv("DSMT_THREADS", saved.c_str(), 1);
+  else
+    ::unsetenv("DSMT_THREADS");
+  parallel::set_thread_count(0);
+}
+
+TEST(ParallelDeterminism, OneItemAndNestedRegionsStayOffThePool) {
+  parallel::set_thread_count(8);
+  const selfconsistent::Problem problem = fig2_problem();
+  std::uint64_t before = parallel::tasks_drained();
+  EXPECT_TRUE(selfconsistent::solve_one(problem).converged);
+  int ran = 0;
+  parallel::parallel_for(1, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(parallel::tasks_drained(), before);
+
+  // An 8-item region at 8 threads submits exactly 7 tasks; the nested
+  // regions inside every chunk, the caller's included, submit none. The
+  // region returns when its chunks are done, so a task can still be queued:
+  // wait for all 7 to drain, then check no eighth follows.
+  std::vector<int> sums(8, 0);
+  before = parallel::tasks_drained();
+  parallel::parallel_for(sums.size(), [&](std::size_t i) {
+    parallel::parallel_for(64, [&](std::size_t) { sums[i] += 1; });
+  });
+  for (int ms = 0; ms < 10000 && parallel::tasks_drained() - before < 7; ++ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(parallel::tasks_drained() - before, 7u);
+  for (int s : sums) EXPECT_EQ(s, 64);
+  parallel::set_thread_count(0);
+}
+
+// A chunk held up on one thread leaves the rest of the range to the other
+// threads: at 4 threads a 32-item region is 32 one-item chunks, so item 0
+// can wait for the other 31 to finish. With one static block per thread,
+// items 1..7 would sit behind item 0 in its block and the wait would time
+// out.
+TEST(ParallelDeterminism, StalledChunkDoesNotHoldTheRest) {
+  parallel::set_thread_count(4);
+  constexpr std::size_t kItems = 32;
+  std::atomic<std::size_t> done{0};
+  bool others_finished = false;
+  parallel::parallel_for(kItems, [&](std::size_t i) {
+    if (i == 0) {
+      for (int ms = 0; ms < 10000 && done.load() < kItems - 1; ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      others_finished = done.load() == kItems - 1;
+    }
+    done.fetch_add(1);
+  });
+  EXPECT_TRUE(others_finished);
+  EXPECT_EQ(done.load(), kItems);
+  parallel::set_thread_count(0);
+}
+
+// The join waits for the chunks, not for the pool tasks: with every worker
+// busy elsewhere, the caller runs all chunks itself and returns while its
+// own tasks are still queued. Those tasks later find nothing left to do.
+TEST(ParallelDeterminism, BusyPoolDoesNotHoldTheJoin) {
+  parallel::set_thread_count(4);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> timed_out{false};
+  for (int w = 0; w < 4; ++w)
+    parallel::pool_submit([&] {
+      started.fetch_add(1);
+      for (int ms = 0; ms < 5000 && !release.load(); ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (!release.load()) timed_out.store(true);
+      finished.fetch_add(1);
+    });
+  for (int ms = 0; ms < 10000 && started.load() < 4; ++ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(started.load(), 4);
+
+  std::vector<int> out(100, 0);
+  parallel::parallel_for(out.size(),
+                         [&](std::size_t i) { out[i] = static_cast<int>(i); });
+  // Returning before the blockers time out is the property under test.
+  release.store(true);
+  for (int ms = 0; ms < 10000 && finished.load() < 4; ++ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_FALSE(timed_out.load());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_EQ(out[i], static_cast<int>(i));
+  parallel::set_thread_count(0);
+}
+
+#if defined(__linux__)
+// Workers start on their own CPUs but keep the process's whole affinity
+// set, so the kernel (and the caller's taskset) still decide where they run.
+TEST(ParallelDeterminism, WorkersKeepTheProcessAffinity) {
+  cpu_set_t process;
+  CPU_ZERO(&process);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof process, &process),
+            0);
+  parallel::set_thread_count(4);
+  std::vector<int> same(64, 0);
+  parallel::parallel_for(same.size(), [&](std::size_t i) {
+    cpu_set_t mine;
+    CPU_ZERO(&mine);
+    same[i] = pthread_getaffinity_np(pthread_self(), sizeof mine, &mine) ==
+                  0 &&
+              CPU_EQUAL(&mine, &process);
+  });
+  for (std::size_t i = 0; i < same.size(); ++i)
+    EXPECT_EQ(same[i], 1) << "item " << i;
+  parallel::set_thread_count(0);
+}
+#endif
+
+/// `n` distinct items of every JSON kind, some of them nested containers.
+report::Json mixed_array(std::size_t n) {
+  using report::Json;
+  Json a = Json::array();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto k = static_cast<long long>(i);
+    switch (i % 4) {
+      case 0:
+        a.push(Json::integer(k));
+        break;
+      case 1:
+        a.push(Json::string("s\"" + std::to_string(i) + "\n"));
+        break;
+      case 2: {
+        Json inner = Json::array();
+        inner.push(Json::boolean(i % 8 == 2)).push(Json::null());
+        Json o = Json::object();
+        o.set("x", Json::number(0.1 * static_cast<double>(i)))
+            .set("list", std::move(inner))
+            .set("empty", Json::object());
+        a.push(std::move(o));
+        break;
+      }
+      default:
+        a.push(Json::array());
+    }
+  }
+  return a;
+}
+
+/// Offset of the first byte where `a` and `b` differ, or npos when equal.
+/// Comparing through it keeps a failure report small: gtest's own diff of
+/// two multi-megabyte strings is quadratic in memory.
+std::size_t first_difference(const std::string& a, const std::string& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i)
+    if (a[i] != b[i]) return i;
+  return a.size() == b.size() ? std::string::npos : n;
+}
+
+TEST(ParallelDeterminism, JsonDumpBytesMatchAcrossThreadCounts) {
+  using report::Json;
+  std::vector<Json> docs;
+  for (const std::size_t n : {0u, 1u, 255u, 256u, 257u})
+    docs.push_back(mixed_array(n));
+  Json grid = Json::array();
+  for (int r = 0; r < 256; ++r) {
+    Json row = Json::array();
+    for (int c = 0; c < 256; ++c) {
+      Json cell = Json::object();
+      cell.set("r", Json::integer(r)).set("c", Json::integer(c));
+      row.push(std::move(cell));
+    }
+    grid.push(std::move(row));
+  }
+  docs.push_back(std::move(grid));
+  for (const int indent : {-1, 0, 2}) {
+    for (std::size_t d = 0; d < docs.size(); ++d) {
+      parallel::set_thread_count(1);
+      const std::string serial = docs[d].dump(indent);
+      parallel::set_thread_count(8);
+      const std::string fanned = docs[d].dump(indent);
+      const std::size_t at = first_difference(fanned, serial);
+      EXPECT_EQ(at, std::string::npos)
+          << "document " << d << " at indent " << indent << ": 8 threads "
+          << fanned.substr(at, 40) << " vs 1 thread " << serial.substr(at, 40);
+    }
+  }
+
+  // The framing of a fanned-out array, written out by hand.
+  Json items = Json::array();
+  std::string expected = "[";
+  for (int i = 0; i < 257; ++i) {
+    Json item = Json::object();
+    item.set("i", Json::integer(i));
+    items.push(std::move(item));
+    if (i > 0) expected += ',';
+    expected += "\n  {\n    \"i\": " + std::to_string(i) + "\n  }";
+  }
+  expected += "\n]";
+  for (const std::size_t threads : {1u, 8u}) {
+    parallel::set_thread_count(threads);
+    const std::string dumped = items.dump(2);
+    const std::size_t at = first_difference(dumped, expected);
+    EXPECT_EQ(at, std::string::npos)
+        << threads << " threads: " << dumped.substr(at, 40) << " vs "
+        << expected.substr(at, 40);
+  }
   parallel::set_thread_count(0);
 }
 

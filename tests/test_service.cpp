@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -419,6 +420,87 @@ TEST(Codec, ResponsePayloadNumbersAreFinite) {
   const report::Json back = report::Json::parse(dumped);
   ASSERT_NE(back.find("solution"), nullptr);
   EXPECT_GT(back.find("solution")->find("j_rms_MA_cm2")->as_number(), 0.0);
+}
+
+/// `n` distinct requests of every kind as batch text, except that the
+/// element at each index of `malformed` is that entry's text instead.
+std::string decode_batch_text(
+    std::size_t n, const std::map<std::size_t, std::string>& malformed) {
+  std::string text = "[";
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) text += ',';
+    if (const auto bad = malformed.find(i); bad != malformed.end()) {
+      text += bad->second;
+      continue;
+    }
+    const double f = static_cast<double>(i);
+    Request r = wire_request("r-" + std::to_string(i), 0.01 + 1e-5 * f,
+                             0.3 + 1e-4 * f);
+    r.j0_MA_cm2 = 0.6 + 1e-4 * f;
+    r.t_ref_c = 80.0 + 1e-3 * f;
+    if (i % 3 == 1) r.kind = RequestKind::kDutyCyclePoint;
+    if (i % 3 == 2) {
+      r.kind = RequestKind::kTableCell;
+      r.technology = i % 2 ? "NTRS-250nm-Cu" : "NTRS-100nm-AlCu";
+      r.level = 1 + static_cast<int>(i % 6);
+      r.dielectric = i % 4 ? "oxide" : "polymer";
+    }
+    text += request_to_json(r).dump(-1);
+  }
+  return text + "]";
+}
+
+TEST(Codec, ParallelBatchDecodeMatchesSerialLoop) {
+  ThreadCountGuard restore;
+  constexpr std::size_t kRequests = 10000;
+  // Two malformed elements with different messages.
+  const std::string unknown_kind = "{\"kind\": \"warp-drive\"}";
+  const std::string malformed = decode_batch_text(
+      kRequests, {{300, unknown_kind}, {9000, "{\"kind\": \"table\"}"}});
+  // The message a serial loop meets first: element 300's.
+  std::string first_error;
+  try {
+    request_from_json(report::Json::parse(unknown_kind));
+  } catch (const SolveError& e) {
+    first_error = e.what();
+  }
+  ASSERT_FALSE(first_error.empty());
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    parallel::set_thread_count(threads);
+    try {
+      parse_batch(malformed);
+      ADD_FAILURE() << "no error at " << threads << " threads";
+    } catch (const SolveError& e) {
+      EXPECT_EQ(e.status(), core::StatusCode::kInvalidInput);
+      EXPECT_EQ(std::string(e.what()), first_error) << threads << " threads";
+    }
+  }
+
+  const std::string text = decode_batch_text(kRequests, {});
+  const report::Json doc = report::Json::parse(text);
+  ASSERT_EQ(doc.size(), kRequests);
+  std::vector<Request> serial;
+  for (std::size_t i = 0; i < doc.size(); ++i)
+    serial.push_back(request_from_json(doc.at(i)));
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    parallel::set_thread_count(threads);
+    const std::vector<Request> decoded = parse_batch(text);
+    ASSERT_EQ(decoded.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const Request& a = serial[i];
+      const Request& b = decoded[i];
+      const bool same =
+          a.id == b.id && a.kind == b.kind && a.duty_cycle == b.duty_cycle &&
+          a.j0_MA_cm2 == b.j0_MA_cm2 && a.t_ref_c == b.t_ref_c &&
+          a.wire.metal == b.wire.metal && a.wire.width_um == b.wire.width_um &&
+          a.wire.thickness_um == b.wire.thickness_um &&
+          a.wire.dielectric_um == b.wire.dielectric_um &&
+          a.wire.k_dielectric == b.wire.k_dielectric &&
+          a.technology == b.technology && a.level == b.level &&
+          a.dielectric == b.dielectric;
+      ASSERT_TRUE(same) << "request " << i << " at " << threads << " threads";
+    }
+  }
 }
 
 // --- bounded thread-pool queue ----------------------------------------------

@@ -87,6 +87,31 @@ TEST(ThreadStress, ConcurrentParallelForCallers) {
   dsmt::parallel::set_thread_count(0);
 }
 
+// The resolved thread count is cached in an atomic and read without a lock;
+// set_thread_count clears it under the config mutex. Readers racing an
+// override loop must only ever see one of the counts that was in force.
+TEST(ThreadStress, ThreadCountReadersRaceOverride) {
+  dsmt::parallel::set_thread_count(2);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kAttackers);
+  for (std::size_t r = 0; r < kAttackers; ++r) {
+    readers.emplace_back([&stop, &bad] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::size_t n = dsmt::parallel::thread_count();
+        if (n != 2 && n != 3) bad.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int round = 0; round < 2000; ++round)
+    dsmt::parallel::set_thread_count(round % 2 == 0 ? 3 : 2);
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  dsmt::parallel::set_thread_count(0);
+}
+
 // Regression for the nested-from-caller race TSan caught: block 0 of a
 // parallel region runs on the calling thread, and a nested parallel_for
 // from inside it used to fan out across the pool concurrently with the
