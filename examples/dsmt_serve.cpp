@@ -52,7 +52,6 @@
 #include "cache/warm.h"
 #include "net/server.h"
 #include "numeric/fault_injection.h"
-#include "parallel/parallel_for.h"
 #include "service/server.h"
 #include "supervise/pool.h"
 
@@ -136,17 +135,10 @@ int run_batch(const std::map<std::string, std::string>& opts,
   int failures = 0;
   for (const service::Response& resp : responses)
     if (!resp.ok()) ++failures;
-  // Each reply encodes on its own, so encoding fans out like the solves.
-  report::Json responses_json = report::Json::array();
-  for (report::Json& reply : parallel::parallel_map<report::Json>(
-           responses.size(), [&](std::size_t i) {
-             return service::response_to_json(responses[i]);
-           }))
-    responses_json.push(std::move(reply));
-  report::Json root = report::Json::object();
-  root.set("responses", std::move(responses_json));
-  root.set("service", server.service_json());
-  std::printf("%s\n", root.dump(indent).c_str());
+  std::string document =
+      service::dump_batch(responses, server.service_json(), indent);
+  document += '\n';
+  std::fwrite(document.data(), 1, document.size(), stdout);
   if (strict && failures > 0) {
     print_error("--strict: " + std::to_string(failures) + " of " +
                 std::to_string(responses.size()) +

@@ -45,7 +45,7 @@ std::string error_frame(const std::string& id, core::StatusCode status,
   resp.status = status;
   resp.error = message;
   resp.diag.record("net/server", status, 0, 0.0, message);
-  return encode_frame(service::response_to_json(resp).dump(-1));
+  return encode_frame(service::dump_response(resp));
 }
 
 /// The request id of a parsed-but-possibly-malformed payload, best effort.
@@ -454,7 +454,7 @@ void Server::dispatch_request(Connection& conn, std::uint64_t seq,
       } else {
         const service::Response response =
             service_.handle(request, static_cast<std::size_t>(seq));
-        frame = encode_frame(service::response_to_json(response).dump(-1));
+        frame = encode_frame(service::dump_response(response));
       }
     } catch (const std::bad_alloc&) {
       frame = error_frame(request.id, core::StatusCode::kRejectedOverload,

@@ -23,6 +23,27 @@ Json diag_to_json(const core::SolverDiag& diag) {
   return root;
 }
 
+void write_diag(JsonWriter& out, const core::SolverDiag& diag) {
+  out.begin_object();
+  out.key("kernel").string(diag.kernel);
+  out.key("status").string(core::status_name(diag.status));
+  out.key("iterations").integer(diag.iterations);
+  out.key("residual").number_or_null(diag.residual);
+  out.key("recovered").boolean(diag.recovered);
+  out.key("chain").begin_array();
+  for (const auto& ev : diag.chain) {
+    out.begin_object();
+    out.key("kernel").string(ev.kernel);
+    out.key("status").string(core::status_name(ev.status));
+    out.key("iterations").integer(ev.iterations);
+    out.key("residual").number_or_null(ev.residual);
+    if (!ev.note.empty()) out.key("note").string(ev.note);
+    out.end_object();
+  }
+  out.end_array();
+  out.end_object();
+}
+
 Json checkpoint_to_json(const core::CheckpointStats& stats) {
   Json entry = Json::object();
   entry.set("job", Json::string(stats.job))

@@ -14,6 +14,9 @@ namespace dsmt::report {
 /// Serializes a diagnostic chain: the summary fields plus every recorded
 /// attempt/recovery event, in order.
 Json diag_to_json(const core::SolverDiag& diag);
+/// Writes the object diag_to_json builds, field for field, as the writer's
+/// next value.
+void write_diag(JsonWriter& out, const core::SolverDiag& diag);
 
 /// Serializes one checkpoint's counters (job, slot totals, resume/flush
 /// counts) as published into the run's checkpoint log.

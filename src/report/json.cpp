@@ -20,6 +20,12 @@ namespace {
   throw SolveError("report/json: " + what, diag);
 }
 
+[[noreturn]] void throw_non_finite() {
+  throw_json_error("report/json", "non-finite number in payload "
+                   "(use number_or_null for diagnostic fields)",
+                   core::StatusCode::kNonFinite);
+}
+
 }  // namespace
 
 Json Json::object() {
@@ -39,10 +45,7 @@ Json Json::string(std::string value) {
   return j;
 }
 Json Json::number(double value) {
-  if (!std::isfinite(value))
-    throw_json_error("report/json", "non-finite number in payload "
-                     "(use number_or_null for diagnostic fields)",
-                     core::StatusCode::kNonFinite);
+  if (!std::isfinite(value)) throw_non_finite();
   Json j;
   j.kind_ = Kind::kNumber;
   j.num_ = value;
@@ -150,42 +153,15 @@ Json& Json::push(Json value) {
 }
 
 namespace {
-void escape_into(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * depth, ' ');
-}
-
-/// Arrays with at least this many items dump their items across the pool.
-/// Smaller ones, such as a reply's diag chain, dump serially: a fan-out's
-/// fixed cost of tens of microseconds would dominate their dump.
+/// Arrays with at least this many items render their items across the
+/// pool. Smaller ones, such as a reply's diag chain, render serially: a
+/// fan-out's fixed cost of tens of microseconds would dominate them.
 constexpr std::size_t kParallelDumpItems = 256;
 
-/// True when an array of `items` should dump across the pool: it is large
-/// enough, more than one thread is configured, and no parallel region is
-/// active (a nested array dumps serially inside its caller's block).
+/// True when an array of `items` should render across the pool: it is
+/// large enough, more than one thread is configured, and no parallel region
+/// is active (a nested array renders serially inside its caller's block).
 bool dumps_in_parallel(std::size_t items) {
   return items >= kParallelDumpItems && !parallel::on_worker_thread() &&
          !parallel::in_parallel_region() && parallel::thread_count() > 1;
@@ -195,12 +171,15 @@ bool dumps_in_parallel(std::size_t items) {
 /// nesting bounded so a deep adversarial input cannot blow the stack.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  Parser(const std::string& text, std::size_t begin, std::size_t end)
+      : text_(text), pos_(begin), end_(end) {}
 
-  Json parse_document() {
-    Json value = parse_value(0);
+  /// The one value in [begin, end), nested at `depth`; nothing but
+  /// whitespace may follow it.
+  Json parse_whole(int depth) {
+    Json value = parse_value(depth);
     skip_ws();
-    if (pos_ != text_.size()) fail("trailing bytes after document");
+    if (pos_ != end_) fail("trailing bytes after document");
     return value;
   }
 
@@ -215,7 +194,7 @@ class Parser {
   }
 
   void skip_ws() {
-    while (pos_ < text_.size()) {
+    while (pos_ < end_) {
       const char c = text_[pos_];
       if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
         ++pos_;
@@ -225,7 +204,7 @@ class Parser {
   }
 
   char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
+    if (pos_ >= end_) fail("unexpected end of input");
     return text_[pos_];
   }
 
@@ -237,7 +216,7 @@ class Parser {
   bool consume_literal(const char* lit) {
     std::size_t n = 0;
     while (lit[n] != '\0') ++n;
-    if (text_.compare(pos_, n, lit) != 0) return false;
+    if (end_ - pos_ < n || text_.compare(pos_, n, lit) != 0) return false;
     pos_ += n;
     return true;
   }
@@ -349,7 +328,7 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
+      if (pos_ >= end_) fail("unterminated string");
       const char c = text_[pos_];
       ++pos_;
       if (c == '"') return out;
@@ -374,7 +353,7 @@ class Parser {
           unsigned cp = parse_hex4();
           if (cp >= 0xD800 && cp <= 0xDBFF) {
             // High surrogate: must be followed by \uDC00-\uDFFF.
-            if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+            if (pos_ + 1 >= end_ || text_[pos_] != '\\' ||
                 text_[pos_ + 1] != 'u')
               fail("unpaired high surrogate");
             pos_ += 2;
@@ -393,7 +372,7 @@ class Parser {
   }
 
   bool digit_at(std::size_t p) const {
-    return p < text_.size() && text_[p] >= '0' && text_[p] <= '9';
+    return p < end_ && text_[p] >= '0' && text_[p] <= '9';
   }
 
   Json parse_number() {
@@ -402,7 +381,7 @@ class Parser {
     // at least one digit.
     const std::size_t start = pos_;
     bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    if (pos_ < end_ && text_[pos_] == '-') ++pos_;
     if (!digit_at(pos_)) fail("bad number");
     if (text_[pos_] == '0') {
       ++pos_;
@@ -410,16 +389,16 @@ class Parser {
     } else {
       while (digit_at(pos_)) ++pos_;
     }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
+    if (pos_ < end_ && text_[pos_] == '.') {
       integral = false;
       ++pos_;
       if (!digit_at(pos_)) fail("expected digit after decimal point");
       while (digit_at(pos_)) ++pos_;
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    if (pos_ < end_ && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       integral = false;
       ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+      if (pos_ < end_ && (text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
       if (!digit_at(pos_)) fail("expected digit in exponent");
       while (digit_at(pos_)) ++pos_;
@@ -443,107 +422,254 @@ class Parser {
   }
 
   const std::string& text_;
-  std::size_t pos_ = 0;
+  std::size_t pos_;
+  const std::size_t end_;
 };
+
+bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
 }  // namespace
 
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return Parser(text, 0, text.size()).parse_whole(0);
 }
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
+bool Json::array_spans(const std::string& text, std::vector<Span>& spans) {
+  spans.clear();
+  const std::size_t n = text.size();
+  std::size_t pos = 0;
+  while (pos < n && is_ws(text[pos])) ++pos;
+  if (pos == n || text[pos] != '[') return false;
+  std::size_t element = ++pos;
+  while (pos < n && is_ws(text[pos])) ++pos;
+  if (pos < n && text[pos] == ']') {
+    ++pos;  // an empty array: no element spans
+  } else {
+    std::size_t depth = 1;
+    for (;;) {
+      if (pos == n) return false;
+      const char c = text[pos++];
+      if (c == '"') {
+        while (pos < n && text[pos] != '"') pos += text[pos] == '\\' ? 2 : 1;
+        if (pos >= n) return false;
+        ++pos;
+      } else if (c == '[' || c == '{') {
+        ++depth;
+      } else if (c == ']' || c == '}') {
+        if (--depth > 0) continue;
+        if (c != ']') return false;
+        spans.push_back({element, pos - 1});
+        break;
+      } else if (c == ',' && depth == 1) {
+        spans.push_back({element, pos - 1});
+        element = pos;
+      }
+    }
+  }
+  while (pos < n && is_ws(text[pos])) ++pos;
+  return pos == n;
+}
+
+Json Json::parse_element(const std::string& text, Span span) {
+  if (span.begin > span.end || span.end > text.size())
+    throw std::out_of_range("Json::parse_element: span outside the text");
+  return Parser(text, span.begin, span.end).parse_whole(1);
+}
+
+JsonWriter::JsonWriter(int indent, int depth)
+    : indent_(indent), base_depth_(static_cast<std::size_t>(depth)) {}
+
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+void JsonWriter::before_value() {
+  if (open_.empty()) return;
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (open_.back()) out_ += ',';
+  open_.back() = true;
+  newline(depth());
+}
+
+void JsonWriter::escaped(std::string_view s) {
+  out_ += '"';
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out_ += buf;
+      }
+    }
+  }
+  out_.append(s, run, s.size() - run);
+  out_ += '"';
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  before_value();
+  out_ += '{';
+  open_.push_back(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  const bool had_members = open_.back();
+  open_.pop_back();
+  if (had_members) newline(depth());
+  out_ += '}';
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  before_value();
+  out_ += '[';
+  open_.push_back(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  const bool had_items = open_.back();
+  open_.pop_back();
+  if (had_items) newline(depth());
+  out_ += ']';
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  if (open_.back()) out_ += ',';
+  open_.back() = true;
+  newline(depth());
+  escaped(name);
+  out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  before_value();
+  escaped(value);
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value) {
+  if (!std::isfinite(value)) throw_non_finite();
+  before_value();
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.10g", value);
+  out_ += buf;
+  return *this;
+}
+
+JsonWriter& JsonWriter::number_or_null(double value) {
+  return std::isfinite(value) ? number(value) : null();
+}
+
+JsonWriter& JsonWriter::integer(long long value) {
+  before_value();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%lld", value);
+  out_ += buf;
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool value) {
+  before_value();
+  out_ += value ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  before_value();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::array(
+    std::size_t count,
+    const std::function<void(JsonWriter&, std::size_t)>& write_item) {
+  if (!dumps_in_parallel(count)) {
+    begin_array();
+    for (std::size_t i = 0; i < count; ++i) write_item(*this, i);
+    return end_array();
+  }
+  // One part per item, written at the depth the serial loop above writes
+  // it at, joined in index order: the same bytes.
+  before_value();
+  const std::size_t item_depth = depth() + 1;
+  const std::vector<std::string> parts = parallel::parallel_map<std::string>(
+      count, [&](std::size_t i) {
+        JsonWriter part(indent_, static_cast<int>(item_depth));
+        write_item(part, i);
+        return part.take();
+      });
+  std::size_t bytes = out_.size();
+  for (const std::string& part : parts) bytes += part.size();
+  const std::size_t margin =
+      indent_ < 0 ? 0 : static_cast<std::size_t>(indent_) * item_depth;
+  out_.reserve(bytes + parts.size() * (2 + margin) + margin + 2);
+  out_ += '[';
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out_ += ',';
+    newline(item_depth);
+    out_ += parts[i];
+  }
+  newline(item_depth - 1);
+  out_ += ']';
+  return *this;
+}
+
+void Json::write_to(JsonWriter& out) const {
   switch (kind_) {
     case Kind::kString:
-      escape_into(out, str_);
+      out.string(str_);
       break;
-    case Kind::kNumber: {
-      // number() rejects non-finite at construction; this is the backstop
-      // for default-constructed corruption, honoring the same policy.
-      if (!std::isfinite(num_))
-        throw_json_error("report/json", "non-finite number reached dump",
-                         core::StatusCode::kNonFinite);
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.10g", num_);
-      out += buf;
+    case Kind::kNumber:
+      out.number(num_);
       break;
-    }
-    case Kind::kInteger: {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%lld", int_);
-      out += buf;
+    case Kind::kInteger:
+      out.integer(int_);
       break;
-    }
     case Kind::kBool:
-      out += bool_ ? "true" : "false";
+      out.boolean(bool_);
       break;
     case Kind::kNull:
-      out += "null";
+      out.null();
       break;
-    case Kind::kObject: {
-      if (members_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += '{';
-      bool first = true;
+    case Kind::kObject:
+      out.begin_object();
       for (const auto& [k, v] : members_) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        escape_into(out, k);
-        out += indent < 0 ? ":" : ": ";
-        v.dump_to(out, indent, depth + 1);
+        out.key(k);
+        v.write_to(out);
       }
-      newline_indent(out, indent, depth);
-      out += '}';
+      out.end_object();
       break;
-    }
-    case Kind::kArray: {
-      if (items_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += '[';
-      if (dumps_in_parallel(items_.size())) {
-        // One part per item, written by the same writer at the depth the
-        // serial loop below uses, joined in index order: the same bytes.
-        const std::vector<std::string> parts =
-            parallel::parallel_map<std::string>(
-                items_.size(), [&](std::size_t i) {
-                  std::string part;
-                  items_[i].dump_to(part, indent, depth + 1);
-                  return part;
-                });
-        std::size_t bytes = out.size();
-        for (const std::string& part : parts) bytes += part.size();
-        const std::size_t margin =
-            indent < 0 ? 0 : static_cast<std::size_t>(indent) * (depth + 1);
-        out.reserve(bytes + parts.size() * (2 + margin) + margin);
-        for (std::size_t i = 0; i < parts.size(); ++i) {
-          if (i > 0) out += ',';
-          newline_indent(out, indent, depth + 1);
-          out += parts[i];
-        }
-      } else {
-        bool first = true;
-        for (const auto& v : items_) {
-          if (!first) out += ',';
-          first = false;
-          newline_indent(out, indent, depth + 1);
-          v.dump_to(out, indent, depth + 1);
-        }
-      }
-      newline_indent(out, indent, depth);
-      out += ']';
+    case Kind::kArray:
+      out.array(items_.size(), [this](JsonWriter& w, std::size_t i) {
+        items_[i].write_to(w);
+      });
       break;
-    }
   }
 }
 
 std::string Json::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  return out;
+  JsonWriter out(indent);
+  write_to(out);
+  return out.take();
 }
 
 }  // namespace dsmt::report

@@ -2,27 +2,86 @@
 // structured data with downstream tooling: sign-off reports, sweep series,
 // and the request/response schema of the service front end.
 //
-// Writing supports objects, arrays, strings (escaped), numbers, booleans,
-// and null via a small builder API; output is deterministic (insertion
-// order). Numeric policy is explicit: Json::number() REJECTS NaN/Inf with a
+// Writing has two faces over one emitter. JsonWriter streams values in
+// document order straight into a string; it alone turns values into JSON
+// bytes (escaping, %.10g / %lld number text, separators, indentation).
+// Json is a small builder API for value trees, and Json::dump walks a tree
+// through a JsonWriter, so a tree and a writer fed the same values emit the
+// same bytes. Output is deterministic (insertion order). Numeric policy is
+// explicit: Json::number() and JsonWriter::number() REJECT NaN/Inf with a
 // dsmt::SolveError (kNonFinite) — a bare `nan` must never reach a payload —
-// while Json::number_or_null() is the opt-in lossy mapping (non-finite ->
-// null) for diagnostic fields where NaN is a legitimate observation (e.g. a
-// fault-injected residual).
+// while the number_or_null() variants are the opt-in lossy mapping
+// (non-finite -> null) for diagnostic fields where NaN is a legitimate
+// observation (e.g. a fault-injected residual).
 //
 // Reading (Json::parse) is a strict recursive-descent parser with a depth
 // bound; malformed input raises dsmt::SolveError (kInvalidInput) carrying
 // the byte offset. parse(dump(x)) round-trips every tree the builder can
 // produce, including adversarial strings (quotes, backslashes, control
-// characters, \uXXXX escapes).
+// characters, \uXXXX escapes). A document that is one large array can be
+// read element by element instead: Json::array_spans finds each element's
+// bytes and Json::parse_element parses one of them with the same parser,
+// the same 64-level bound and the same duplicate-key check, so no tree of
+// the whole document is ever built.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace dsmt::report {
+
+/// The one emitter of JSON bytes: writes values in document order into a
+/// string. `indent` < 0 means compact. `depth` is the nesting level the
+/// first value is written at, so a part written on its own joins a
+/// document at that level byte for byte. Keys and values must alternate as
+/// JSON requires; the writer does not check it.
+class JsonWriter {
+ public:
+  explicit JsonWriter(int indent = -1, int depth = 0);
+
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  /// Object member key; the next value written is the member's value.
+  JsonWriter& key(std::string_view name);
+  JsonWriter& string(std::string_view value);
+  /// value [1] as %.10g. Throws dsmt::SolveError (kNonFinite) when value is
+  /// NaN/Inf, exactly as Json::number() does.
+  JsonWriter& number(double value);
+  /// value [1]: like number(), but writes null for a non-finite value.
+  JsonWriter& number_or_null(double value);
+  JsonWriter& integer(long long value);
+  JsonWriter& boolean(bool value);
+  JsonWriter& null();
+
+  /// Writes an array of `count` items; write_item(w, i) writes item i into
+  /// `w`. An array of 256 or more items renders each item into its own part
+  /// across the parallel pool (serially inside a parallel region) and joins
+  /// the parts in index order: the bytes are the same at every thread count.
+  JsonWriter& array(
+      std::size_t count,
+      const std::function<void(JsonWriter&, std::size_t)>& write_item);
+
+  /// The bytes written so far; the writer is spent afterwards.
+  std::string take() { return std::move(out_); }
+
+ private:
+  void before_value();
+  void newline(std::size_t depth);
+  void escaped(std::string_view s);
+  std::size_t depth() const { return base_depth_ + open_.size(); }
+
+  int indent_;
+  std::size_t base_depth_;
+  std::string out_;
+  std::vector<bool> open_;  ///< per open container: holds a member yet
+  bool after_key_ = false;
+};
 
 /// A JSON value tree.
 class Json {
@@ -45,6 +104,24 @@ class Json {
   /// dsmt::SolveError (kInvalidInput) with the byte offset on malformed
   /// input or nesting deeper than 64 levels.
   static Json parse(const std::string& text);
+
+  /// Byte range [begin, end) of a text.
+  struct Span {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  /// Scans `text` for one top-level array, with only whitespace around it,
+  /// and stores the span of each element (its surrounding whitespace
+  /// included). Skips string contents, escapes included. Returns false when
+  /// the text is not such an array. Brackets are only counted, not matched:
+  /// for a valid array the spans are exact, and when the text is not valid
+  /// JSON at least one span fails parse_element.
+  static bool array_spans(const std::string& text, std::vector<Span>& spans);
+  /// Parses text[span] as one complete value nested at depth 1, an element
+  /// of a top-level array: the depth bound and every check of parse()
+  /// apply as they do to that element inside parse(text). Throws
+  /// std::out_of_range when the span does not lie inside the text.
+  static Json parse_element(const std::string& text, Span span);
 
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
@@ -79,10 +156,11 @@ class Json {
   /// Array append (asserts array kind).
   Json& push(Json value);
 
-  /// Serializes; `indent` < 0 means compact. An array of 256 or more items
-  /// renders its items across the parallel pool (serially inside a parallel
-  /// region); the bytes are the same at every thread count.
+  /// Serializes; `indent` < 0 means compact. Arrays render through
+  /// JsonWriter::array, so the bytes are the same at every thread count.
   std::string dump(int indent = 2) const;
+  /// Writes this tree as the writer's next value.
+  void write_to(JsonWriter& out) const;
 
  private:
   enum class Kind {
@@ -101,8 +179,6 @@ class Json {
   bool bool_ = false;
   std::vector<std::pair<std::string, Json>> members_;
   std::vector<Json> items_;
-
-  void dump_to(std::string& out, int indent, int depth) const;
 };
 
 }  // namespace dsmt::report

@@ -1,7 +1,9 @@
 #include "service/request.h"
 
+#include <atomic>
 #include <cctype>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 
 #include "materials/dielectric.h"
@@ -172,7 +174,59 @@ report::Json response_to_json(const Response& resp) {
   return node;
 }
 
-std::vector<Request> parse_batch(const std::string& text) {
+void write_response(report::JsonWriter& out, const Response& resp) {
+  out.begin_object();
+  out.key("id").string(resp.id);
+  out.key("kind").string(kind_name(resp.kind));
+  out.key("status").string(core::status_name(resp.status));
+  out.key("degraded").boolean(resp.degraded);
+  out.key("degradation_level")
+      .integer(static_cast<long long>(resp.degradation_level));
+  out.key("conservative").boolean(resp.conservative);
+  if (resp.ok()) {
+    out.key("solution").begin_object();
+    out.key("t_metal_c").number(resp.t_metal_c);
+    out.key("delta_t_c").number(resp.delta_t_c);
+    out.key("j_peak_MA_cm2").number(resp.j_peak_MA_cm2);
+    out.key("j_rms_MA_cm2").number(resp.j_rms_MA_cm2);
+    out.key("j_avg_MA_cm2").number(resp.j_avg_MA_cm2);
+    if (resp.kind == RequestKind::kDutyCyclePoint)
+      out.key("jpeak_em_only_MA_cm2").number(resp.jpeak_em_only_MA_cm2);
+    out.end_object();
+  } else {
+    out.key("error").string(resp.error);
+  }
+  out.key("diag");
+  report::write_diag(out, resp.diag);
+  out.end_object();
+}
+
+std::string dump_response(const Response& response) {
+  report::JsonWriter out;
+  write_response(out, response);
+  return out.take();
+}
+
+std::string dump_batch(const std::vector<Response>& responses,
+                       const report::Json& service, int indent) {
+  report::JsonWriter out(indent);
+  out.begin_object();
+  out.key("responses").array(
+      responses.size(), [&](report::JsonWriter& part, std::size_t i) {
+        write_response(part, responses[i]);
+      });
+  out.key("service");
+  service.write_to(out);
+  out.end_object();
+  return out.take();
+}
+
+namespace {
+
+/// The serial path: one tree of the whole document, then a decode per
+/// element. It alone reads the {"requests": [...]} form and reports every
+/// parse error at its byte offset in the document.
+std::vector<Request> parse_batch_document(const std::string& text) {
   const report::Json doc = report::Json::parse(text);
   const report::Json* list = nullptr;
   if (doc.is_array()) {
@@ -189,6 +243,45 @@ std::vector<Request> parse_batch(const std::string& text) {
   return parallel::parallel_map<Request>(list->size(), [&](std::size_t i) {
     return request_from_json(list->at(i));
   });
+}
+
+}  // namespace
+
+std::vector<Request> parse_batch(const std::string& text) {
+  std::vector<report::Json::Span> spans;
+  if (report::Json::array_spans(text, spans)) {
+    // Each element parses and decodes on the worker that owns it, so its
+    // tree dies there. No call throws inside the fan-out: every element must
+    // be parsed before an error is chosen, because a parse error anywhere
+    // outranks a decode error at any index.
+    std::atomic<bool> unparsed{false};
+    std::vector<std::exception_ptr> errors(spans.size());
+    std::vector<Request> batch = parallel::parallel_map<Request>(
+        spans.size(), [&](std::size_t i) {
+          Request r;
+          report::Json element;
+          try {
+            element = report::Json::parse_element(text, spans[i]);
+          } catch (...) {
+            unparsed.store(true, std::memory_order_relaxed);
+            return r;
+          }
+          try {
+            r = request_from_json(element);
+          } catch (...) {
+            errors[i] = std::current_exception();
+          }
+          return r;
+        });
+    if (!unparsed.load(std::memory_order_relaxed)) {
+      for (const std::exception_ptr& error : errors)
+        if (error != nullptr) std::rethrow_exception(error);
+      return batch;
+    }
+  }
+  // Not a plain array, or an element failed to parse: the serial path
+  // reports the error at the document offset it always has.
+  return parse_batch_document(text);
 }
 
 LadderProblem build_problem(const Request& r) {

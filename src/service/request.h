@@ -91,12 +91,29 @@ struct Response {
 Request request_from_json(const report::Json& node);
 
 report::Json request_to_json(const Request& request);
+/// The reply object as a tree: the reference that write_response is tested
+/// against.
 report::Json response_to_json(const Response& response);
+/// Writes the object response_to_json builds, field for field and in the
+/// same order, as the writer's next value. Throws what response_to_json
+/// throws (kNonFinite for a non-finite solution field).
+void write_response(report::JsonWriter& out, const Response& response);
+/// Compact JSON text of one reply, through write_response: the payload of
+/// a reply frame.
+std::string dump_response(const Response& response);
+/// The batch reply document {"responses": [...], "service": ...} at
+/// `indent`. Each reply is written into its own part inside the parallel
+/// fan-out and the parts join in index order, so no tree of the replies is
+/// built and the bytes are the same at every thread count.
+std::string dump_batch(const std::vector<Response>& responses,
+                       const report::Json& service, int indent);
 
 /// Parses a batch document: a bare array of request objects, or an object
 /// carrying a "requests" array. Throws dsmt::SolveError (kInvalidInput).
-/// Elements decode in parallel; a malformed batch throws the error of its
-/// lowest malformed index, the one a serial loop would meet first.
+/// A bare array parses and decodes element by element in parallel, so no
+/// tree of the whole document is built. A malformed batch throws what a
+/// serial parse-then-decode would: a parse error of the whole document, or
+/// else the decode error of its lowest malformed index.
 std::vector<Request> parse_batch(const std::string& text);
 
 /// The ladder's working set for one request: the quasi-2D problem the full

@@ -128,8 +128,7 @@ service::Response base_response(const service::Request& request,
 ExecuteResult to_result(const service::Response& resp) {
   ExecuteResult result;
   result.status = resp.status;
-  result.frame =
-      net::encode_frame(service::response_to_json(resp).dump(-1));
+  result.frame = net::encode_frame(service::dump_response(resp));
   return result;
 }
 

@@ -45,7 +45,7 @@ std::string encode_response_message(std::uint64_t seq,
                                     const service::Response& response) {
   std::string out;
   put_u64_be(out, seq);
-  out += net::encode_frame(service::response_to_json(response).dump(-1));
+  out += net::encode_frame(service::dump_response(response));
   return out;
 }
 

@@ -167,6 +167,47 @@ TEST(JsonParse, DumpParseRoundTripTree) {
   }
 }
 
+TEST(JsonParse, ArraySpansSplitTopLevelElementsOnly) {
+  // Strings hiding every structural byte, escaped quotes and backslashes,
+  // nested containers, and whitespace of all four kinds around elements.
+  const std::string text =
+      " \n[ \"a,]}\" ,{\"k\": [1, {\"x\": \"\\\"],\"}]},\t[[], {}]\r,"
+      "\"\\\\\", -0.5e3 ,null, \"\\u005d\"]\t\n";
+  const Json doc = Json::parse(text);
+  std::vector<Json::Span> spans;
+  ASSERT_TRUE(Json::array_spans(text, spans));
+  ASSERT_EQ(spans.size(), doc.size());
+  for (std::size_t i = 0; i < spans.size(); ++i)
+    EXPECT_EQ(Json::parse_element(text, spans[i]).dump(-1),
+              doc.at(i).dump(-1))
+        << "element " << i;
+  ASSERT_TRUE(Json::array_spans(" [ ] ", spans));
+  EXPECT_TRUE(spans.empty());
+  // Not one plain top-level array.
+  for (const char* other : {"", " ", "{}", "1", "[1] [2]", "[1]x", "[1",
+                            "[\"a]", "[{]}", "\f[]"})
+    EXPECT_FALSE(Json::array_spans(other, spans)) << other;
+  // parse_element runs the full parser, bounded to its span, with the
+  // depth bound of an element (one level below the document).
+  for (const int levels : {64, 65}) {
+    const std::string deep = "[" + std::string(levels, '[') +
+                             std::string(levels, ']') + "]";
+    ASSERT_TRUE(Json::array_spans(deep, spans));
+    if (levels == 64) {
+      EXPECT_NO_THROW(Json::parse(deep));
+      EXPECT_NO_THROW(Json::parse_element(deep, spans[0]));
+    } else {
+      EXPECT_THROW(Json::parse(deep), SolveError);
+      EXPECT_THROW(Json::parse_element(deep, spans[0]), SolveError);
+    }
+  }
+  EXPECT_THROW(Json::parse_element("[tru,e]", {1, 4}), SolveError);
+  EXPECT_THROW(Json::parse_element("[{\"a\":1,\"a\":2}]", {1, 14}),
+               SolveError);
+  EXPECT_THROW(Json::parse_element("[1]", {1, 9}), std::out_of_range);
+  EXPECT_THROW(Json::parse_element("[1 2]", {1, 4}), SolveError);
+}
+
 TEST(Json, StringEscaping) {
   EXPECT_EQ(Json::string("a\"b\\c\nd").dump(-1), "\"a\\\"b\\\\c\\nd\"");
   EXPECT_EQ(Json::string(std::string(1, '\x01')).dump(-1), "\"\\u0001\"");

@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/signoff.h"
+#include "core/splitmix.h"
 #include "numeric/fault_injection.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
@@ -450,6 +453,87 @@ std::string decode_batch_text(
   return text + "]";
 }
 
+bool same_request(const Request& a, const Request& b) {
+  return a.id == b.id && a.kind == b.kind && a.duty_cycle == b.duty_cycle &&
+         a.j0_MA_cm2 == b.j0_MA_cm2 && a.t_ref_c == b.t_ref_c &&
+         a.wire.metal == b.wire.metal && a.wire.width_um == b.wire.width_um &&
+         a.wire.thickness_um == b.wire.thickness_um &&
+         a.wire.dielectric_um == b.wire.dielectric_um &&
+         a.wire.k_dielectric == b.wire.k_dielectric &&
+         a.technology == b.technology && a.level == b.level &&
+         a.dielectric == b.dielectric;
+}
+
+/// What a batch decodes to: its requests, or the what() of the error.
+struct Decoded {
+  std::vector<Request> requests;
+  std::string error;
+};
+
+/// The error service/request raises for a batch of the wrong shape.
+[[noreturn]] void bad_batch(const std::string& what) {
+  core::SolverDiag diag;
+  diag.record("service/request", core::StatusCode::kInvalidInput, 0, 0.0,
+              what);
+  throw SolveError("service/request: " + what, diag);
+}
+
+/// The serial reference for parse_batch: one Json::parse of the whole
+/// document, then request_from_json element by element.
+Decoded serial_decode(const std::string& text) {
+  Decoded out;
+  try {
+    const report::Json doc = report::Json::parse(text);
+    const report::Json* list = &doc;
+    if (doc.is_object()) {
+      list = doc.find("requests");
+      if (list == nullptr || !list->is_array())
+        bad_batch("batch object lacks a 'requests' array");
+    } else if (!doc.is_array()) {
+      bad_batch("batch document is neither an array nor an object");
+    }
+    for (std::size_t i = 0; i < list->size(); ++i)
+      out.requests.push_back(request_from_json(list->at(i)));
+  } catch (const std::exception& e) {
+    out.requests.clear();
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// Mutants of the valid batch `text`: 1-3 seeded byte flips, truncations
+/// and insertions of a structural byte or whitespace each.
+std::vector<std::string> mutate_batch(const std::string& text,
+                                      std::size_t count) {
+  static const char kInserts[] = {',', ']', '}', '"', '\\', ' ', '\n', '\t'};
+  std::vector<std::string> mutants;
+  std::uint64_t state = 0x5eedULL;
+  const auto draw = [&state](std::uint64_t n) {
+    state += core::kSplitmix64Gamma;
+    return core::mix64(state) % n;
+  };
+  for (std::size_t m = 0; m < count; ++m) {
+    std::string mutant = text;
+    for (std::uint64_t edits = 1 + draw(3); edits > 0; --edits) {
+      const std::size_t at = draw(mutant.size());
+      switch (draw(3)) {
+        case 0:
+          mutant[at] = static_cast<char>(mutant[at] ^ (1 << draw(8)));
+          break;
+        case 1:
+          mutant.resize(at);
+          break;
+        default:
+          mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
+                        kInserts[draw(sizeof kInserts)]);
+      }
+      if (mutant.empty()) break;
+    }
+    mutants.push_back(std::move(mutant));
+  }
+  return mutants;
+}
+
 TEST(Codec, ParallelBatchDecodeMatchesSerialLoop) {
   ThreadCountGuard restore;
   constexpr std::size_t kRequests = 10000;
@@ -501,6 +585,47 @@ TEST(Codec, ParallelBatchDecodeMatchesSerialLoop) {
       ASSERT_TRUE(same) << "request " << i << " at " << threads << " threads";
     }
   }
+
+  // Mutants of a valid 300-element batch, plus hand-made edge documents:
+  // parse_batch either decodes what the serial reference decodes or throws
+  // the same what().
+  const std::string small = decode_batch_text(300, {});
+  std::vector<std::string> corpus = mutate_batch(small, 400);
+  const std::string deep =
+      "{\"id\": " + std::string(70, '[') + std::string(70, ']') + "}";
+  const std::string duplicate = "{\"id\": \"a\", \"id\": \"b\"}";
+  const std::string inner = small.substr(1, small.size() - 2);
+  corpus.push_back(decode_batch_text(300, {{150, duplicate}}));
+  corpus.push_back(decode_batch_text(300, {{42, deep}}));
+  corpus.push_back("[]");
+  corpus.push_back(" \n\t[ \r\n]\n");
+  corpus.push_back(" \r\n\t" + small + "\n \t");
+  corpus.push_back("[ " + inner + " ]");
+  corpus.push_back("{\"requests\": " + small + "}");
+  corpus.push_back("{\"requests\": 3}");
+  corpus.push_back("\"batch\"");
+  std::size_t errors = 0;
+  for (const std::string& text : corpus) {
+    const Decoded expected = serial_decode(text);
+    if (!expected.error.empty()) ++errors;
+    for (const std::size_t threads : {1u, 8u}) {
+      parallel::set_thread_count(threads);
+      Decoded got;
+      try {
+        got.requests = parse_batch(text);
+      } catch (const std::exception& e) {
+        got.error = e.what();
+      }
+      ASSERT_EQ(got.error, expected.error) << threads << " threads: " << text;
+      ASSERT_EQ(got.requests.size(), expected.requests.size()) << text;
+      for (std::size_t i = 0; i < got.requests.size(); ++i)
+        ASSERT_TRUE(same_request(got.requests[i], expected.requests[i]))
+            << "request " << i << " at " << threads << " threads: " << text;
+    }
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(errors, 0u);
+  EXPECT_LT(errors, corpus.size());
 }
 
 // --- bounded thread-pool queue ----------------------------------------------
