@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks of the numeric kernels that dominate the
 // reproduction harnesses: scalar root solves, dense LU, sparse CG — plus
-// serial-vs-N-thread timings of the parallel sweep drivers.
+// serial-vs-N-thread timings of the parallel sweep drivers and the reply
+// encoder (%.10g number text, one full reply).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -15,9 +16,12 @@
 #include "numeric/roots.h"
 #include "numeric/sparse.h"
 #include "parallel/parallel_for.h"
+#include "report/json.h"
 #include "selfconsistent/batch.h"
 #include "selfconsistent/solver.h"
 #include "selfconsistent/sweep.h"
+#include "service/request.h"
+#include "service/server.h"
 #include "tech/ntrs.h"
 
 namespace {
@@ -273,6 +277,46 @@ void BM_MonteCarloJpeak(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloJpeak)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// Reply encoding: the number text of a reply (temperatures, current
+// densities, residuals: a fixed seeded set in the ranges replies carry) and
+// one full ok reply as the --batch path and the socket front end write it.
+void BM_JsonNumber(benchmark::State& state) {
+  std::mt19937 rng(42);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> values(4096);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    switch (i % 3) {
+      case 0: values[i] = 25.0 + 375.0 * unit(rng); break;           // degC
+      case 1: values[i] = std::pow(10.0, -2.0 + 4.0 * unit(rng)); break;
+      default: values[i] = std::pow(10.0, -16.0 + 8.0 * unit(rng));  // resid
+    }
+  }
+  for (auto _ : state) {
+    dsmt::report::JsonWriter out;
+    out.begin_array();
+    for (const double v : values) out.number(v);
+    out.end_array();
+    benchmark::DoNotOptimize(out.take().size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_JsonNumber);
+
+void BM_WriteResponse(benchmark::State& state) {
+  dsmt::service::Request request;
+  request.id = "r12345";
+  request.kind = dsmt::service::RequestKind::kDutyCyclePoint;
+  dsmt::service::ServerConfig config;
+  config.publish_signoff = false;
+  dsmt::service::Server server(config);
+  const dsmt::service::Response reply = server.submit_batch({request}).at(0);
+  if (!reply.ok()) state.SkipWithError("the reply is not ok");
+  for (auto _ : state)
+    benchmark::DoNotOptimize(dsmt::service::dump_response(reply).size());
+}
+BENCHMARK(BM_WriteResponse);
 
 }  // namespace
 

@@ -34,18 +34,23 @@
 //   1  --strict violation: a terminal failure response (batch) or a forced
 //      drain (socket)
 //   2  usage, batch-parse, or socket-setup errors (--isolate with --batch,
-//      unknown --crash-faults kind, or a failed initial worker fork)
+//      unknown --crash-faults kind, or a failed initial worker fork), or a
+//      batch reply that could not be written to stdout
 //
 // With fault injection disarmed, batch output is bit-identical for every
 // DSMT_THREADS value, and so is each connection's reply byte stream in
 // socket mode — with or without --isolate (worker replies are forwarded
 // byte-verbatim).
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -102,13 +107,23 @@ int usage(bool to_stdout = false) {
       "     worker crashes under --isolate never change the exit code\n"
       "  1  --strict violation: terminal failure response or forced drain\n"
       "  2  usage, batch-parse, or socket-setup error (--isolate with\n"
-      "     --batch, bad --crash-faults kind, failed initial worker fork)\n");
+      "     --batch, bad --crash-faults kind, failed initial worker fork),\n"
+      "     or batch replies that could not be written (\"cannot write\n"
+      "     replies: REASON\")\n");
   return to_stdout ? 0 : 2;
 }
 
 bool read_all(const std::string& path, std::string& out) {
   std::FILE* in = path == "-" ? stdin : std::fopen(path.c_str(), "rb");
   if (in == nullptr) return false;
+  // A regular file is read in one pass into a string of its size; stdin,
+  // a pipe or a file that grows meanwhile takes the 16 KiB growth path.
+  struct stat st {};
+  if (in != stdin && ::fstat(::fileno(in), &st) == 0 && S_ISREG(st.st_mode) &&
+      st.st_size > 0) {
+    out.resize(static_cast<std::size_t>(st.st_size));
+    out.resize(std::fread(out.data(), 1, out.size(), in));
+  }
   char buf[1 << 14];
   std::size_t got = 0;
   while ((got = std::fread(buf, 1, sizeof buf, in)) > 0)
@@ -135,10 +150,23 @@ int run_batch(const std::map<std::string, std::string>& opts,
   int failures = 0;
   for (const service::Response& resp : responses)
     if (!resp.ok()) ++failures;
-  std::string document =
-      service::dump_batch(responses, server.service_json(), indent);
-  document += '\n';
-  std::fwrite(document.data(), 1, document.size(), stdout);
+  // The document streams to stdout part by part; the first failed write
+  // keeps its errno and stops the rest.
+  int write_errno = 0;
+  const auto write_out = [&](std::string_view bytes) {
+    if (write_errno == 0 &&
+        std::fwrite(bytes.data(), 1, bytes.size(), stdout) != bytes.size())
+      write_errno = errno != 0 ? errno : EIO;
+  };
+  service::write_batch(responses, server.service_json(), indent, write_out);
+  write_out("\n");
+  if (write_errno == 0 && std::fflush(stdout) != 0)
+    write_errno = errno != 0 ? errno : EIO;
+  if (write_errno != 0) {
+    print_error(std::string("cannot write replies: ") +
+                std::strerror(write_errno));
+    return 2;
+  }
   if (strict && failures > 0) {
     print_error("--strict: " + std::to_string(failures) + " of " +
                 std::to_string(responses.size()) +

@@ -1,9 +1,14 @@
 #include "report/json.h"
 
+#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "core/status.h"
@@ -24,6 +29,100 @@ namespace {
   throw_json_error("report/json", "non-finite number in payload "
                    "(use number_or_null for diagnostic fields)",
                    core::StatusCode::kNonFinite);
+}
+
+/// 10^0 .. 10^27. 10^27 = 2^27 * 5^27 and 5^27 < 2^64, so every entry is
+/// exact in a long double with a 64-bit significand.
+constexpr long double kPow10[] = {
+    1e0L,  1e1L,  1e2L,  1e3L,  1e4L,  1e5L,  1e6L,  1e7L,  1e8L,  1e9L,
+    1e10L, 1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L,
+    1e20L, 1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+constexpr int kMaxScale = 27;
+
+/// Writes value as %.10g into buf without printf and returns the end, or
+/// nullptr when the value needs snprintf: 0 and -0, a decimal exponent
+/// outside [-18, 36] (the scale 10^(9-X) needs |9-X| <= 27), a near-tie, or
+/// a long double that is not the x87 80-bit format (the rounding below
+/// reads its 64-bit significand). `value` is finite.
+char* format_g10_fast(double value, char* buf) {
+  if constexpr (std::numeric_limits<long double>::digits != 64 ||
+                std::endian::native != std::endian::little)
+    return nullptr;
+  if (value == 0.0) return nullptr;
+  const double a = std::fabs(value);
+  // The decimal exponent floor(log10(a)) is floor((e2 - 1) * log10(2)) or
+  // one more, with e2 the binary exponent of a = m * 2^e2, m in [0.5, 1).
+  // 78913 / 2^18 is log10(2) to 6 digits, which can put the estimate one
+  // lower still; the loop below corrects x by up to two steps.
+  const int e2 =
+      static_cast<int>((std::bit_cast<std::uint64_t>(a) >> 52) & 0x7ff) - 1022;
+  int x = ((e2 - 1) * 78913) >> 18;
+  // scaled = a * 10^(9 - x), in [1e9, 1e10) once x is the decimal exponent.
+  // Multiplying or dividing by an exact power of ten rounds once: the
+  // relative error is at most 2^-64, under 5.5e-10 on a value below 1e10.
+  long double scaled = 0.0L;
+  for (int tries = 0;; ++tries) {
+    const int k = 9 - x;
+    if (tries == 3 || k > kMaxScale || k < -kMaxScale) return nullptr;
+    scaled = k >= 0 ? a * kPow10[k] : a / kPow10[-k];
+    if (scaled >= 1e10L)
+      ++x;
+    else if (scaled < 1e9L)
+      --x;
+    else
+      break;
+  }
+  // Adding 2^63 rounds scaled to the nearest integer (the default rounding
+  // mode, which snprintf honours too), which then sits in the low bits of
+  // the 64-bit significand.
+  const long double rounded = scaled + 0x1p63L;
+  std::uint64_t digits = 0;
+  std::memcpy(&digits, &rounded, sizeof digits);
+  digits -= std::uint64_t{1} << 63;
+  // Within the error bound of .5 the rounding direction is not known.
+  const long double fraction = scaled - (rounded - 0x1p63L);
+  if (std::fabs(std::fabs(fraction) - 0.5L) < 1e-8L) return nullptr;
+  if (digits == 10000000000ULL) {  // 9999999999.5 and up carry into X + 1
+    digits = 1000000000ULL;
+    ++x;
+  }
+  char d[10];
+  for (int i = 9; i >= 0; --i) {
+    d[i] = static_cast<char>('0' + digits % 10);
+    digits /= 10;
+  }
+  int last = 9;  // the last digit %g keeps: trailing zeros are stripped
+  while (last > 0 && d[last] == '0') --last;
+
+  char* p = buf;
+  if (value < 0.0) *p++ = '-';
+  if (x >= -4 && x < 10) {  // %g's fixed style, 9 - x fraction digits
+    if (x >= 0) {
+      for (int i = 0; i <= x; ++i) *p++ = d[i];
+      if (last > x) {
+        *p++ = '.';
+        for (int i = x + 1; i <= last; ++i) *p++ = d[i];
+      }
+    } else {
+      *p++ = '0';
+      *p++ = '.';
+      for (int i = 0; i < -x - 1; ++i) *p++ = '0';
+      for (int i = 0; i <= last; ++i) *p++ = d[i];
+    }
+    return p;
+  }
+  *p++ = d[0];  // %g's exponent style, 9 fraction digits
+  if (last > 0) {
+    *p++ = '.';
+    for (int i = 1; i <= last; ++i) *p++ = d[i];
+  }
+  // |x| <= 36 here, so the exponent has the two digits %e writes at least.
+  const int e = x < 0 ? -x : x;
+  *p++ = 'e';
+  *p++ = x < 0 ? '-' : '+';
+  *p++ = static_cast<char>('0' + e / 10);
+  *p++ = static_cast<char>('0' + e % 10);
+  return p;
 }
 
 }  // namespace
@@ -475,8 +574,16 @@ Json Json::parse_element(const std::string& text, Span span) {
   return Parser(text, span.begin, span.end).parse_whole(1);
 }
 
-JsonWriter::JsonWriter(int indent, int depth)
-    : indent_(indent), base_depth_(static_cast<std::size_t>(depth)) {}
+JsonWriter::JsonWriter(int indent, int depth, Sink sink)
+    : indent_(indent),
+      base_depth_(static_cast<std::size_t>(depth)),
+      sink_(std::move(sink)) {}
+
+void JsonWriter::flush() {
+  if (!sink_ || out_.empty()) return;
+  sink_(out_);
+  out_.clear();
+}
 
 void JsonWriter::newline(std::size_t depth) {
   if (indent_ < 0) return;
@@ -510,9 +617,9 @@ void JsonWriter::escaped(std::string_view s) {
       case '\t': out_ += "\\t"; break;
       case '\r': out_ += "\\r"; break;
       default: {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out_ += buf;
+        constexpr char kHex[] = "0123456789abcdef";
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out_.append(code, sizeof code);
       }
     }
   }
@@ -570,8 +677,10 @@ JsonWriter& JsonWriter::number(double value) {
   if (!std::isfinite(value)) throw_non_finite();
   before_value();
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.10g", value);
-  out_ += buf;
+  char* end = format_g10_fast(value, buf);
+  if (end == nullptr)
+    end = buf + std::snprintf(buf, sizeof buf, "%.10g", value);
+  out_.append(buf, static_cast<std::size_t>(end - buf));
   return *this;
 }
 
@@ -581,9 +690,9 @@ JsonWriter& JsonWriter::number_or_null(double value) {
 
 JsonWriter& JsonWriter::integer(long long value) {
   before_value();
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%lld", value);
-  out_ += buf;
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
+  out_.append(buf, r.ptr);
   return *this;
 }
 
@@ -607,26 +716,35 @@ JsonWriter& JsonWriter::array(
     for (std::size_t i = 0; i < count; ++i) write_item(*this, i);
     return end_array();
   }
-  // One part per item, written at the depth the serial loop above writes
-  // it at, joined in index order: the same bytes.
+  // Contiguous runs of items, one part each, written at the depth the
+  // serial loop above writes them at. Every item carries the separator and
+  // newline written before it there, so the bytes do not depend on where
+  // the runs split.
   before_value();
   const std::size_t item_depth = depth() + 1;
+  const std::size_t max_parts = parallel::thread_count() * 8;
+  const std::size_t part_count = count < max_parts ? count : max_parts;
   const std::vector<std::string> parts = parallel::parallel_map<std::string>(
-      count, [&](std::size_t i) {
+      part_count, [&](std::size_t p) {
         JsonWriter part(indent_, static_cast<int>(item_depth));
-        write_item(part, i);
+        const std::size_t end = (p + 1) * count / part_count;
+        for (std::size_t i = p * count / part_count; i < end; ++i) {
+          if (i > 0) part.out_ += ',';
+          part.newline(item_depth);
+          write_item(part, i);
+        }
         return part.take();
       });
-  std::size_t bytes = out_.size();
-  for (const std::string& part : parts) bytes += part.size();
-  const std::size_t margin =
-      indent_ < 0 ? 0 : static_cast<std::size_t>(indent_) * item_depth;
-  out_.reserve(bytes + parts.size() * (2 + margin) + margin + 2);
   out_ += '[';
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out_ += ',';
-    newline(item_depth);
-    out_ += parts[i];
+  if (sink_) {
+    flush();
+    for (const std::string& part : parts) sink_(part);
+  } else {
+    std::size_t bytes = out_.size() + 2;  // the closing newline and ']'
+    if (indent_ >= 0) bytes += static_cast<std::size_t>(indent_) * depth();
+    for (const std::string& part : parts) bytes += part.size();
+    out_.reserve(bytes);
+    for (const std::string& part : parts) out_ += part;
   }
   newline(item_depth - 1);
   out_ += ']';

@@ -3,8 +3,10 @@
 // and the request/response schema of the service front end.
 //
 // Writing has two faces over one emitter. JsonWriter streams values in
-// document order straight into a string; it alone turns values into JSON
-// bytes (escaping, %.10g / %lld number text, separators, indentation).
+// document order into a string, or through an optional sink; it alone
+// turns values into JSON bytes (escaping, %.10g / %lld number text,
+// separators, indentation). Numbers are formatted without printf: an exact
+// fast %.10g (see JsonWriter::number) and std::to_chars for integers.
 // Json is a small builder API for value trees, and Json::dump walks a tree
 // through a JsonWriter, so a tree and a writer fed the same values emit the
 // same bytes. Output is deterministic (insertion order). Numeric policy is
@@ -39,9 +41,18 @@ namespace dsmt::report {
 /// first value is written at, so a part written on its own joins a
 /// document at that level byte for byte. Keys and values must alternate as
 /// JSON requires; the writer does not check it.
+///
+/// With a sink, the writer streams: a parallel array() hands the bytes
+/// before it and each finished part to the sink in document order instead
+/// of appending them, and flush() hands over the rest. The concatenation of
+/// everything the sink receives is the bytes take() would return without
+/// one.
 class JsonWriter {
  public:
-  explicit JsonWriter(int indent = -1, int depth = 0);
+  /// Receives a writer's bytes, run by run, in document order.
+  using Sink = std::function<void(std::string_view)>;
+
+  explicit JsonWriter(int indent = -1, int depth = 0, Sink sink = nullptr);
 
   JsonWriter& begin_object();
   JsonWriter& end_object();
@@ -50,8 +61,14 @@ class JsonWriter {
   /// Object member key; the next value written is the member's value.
   JsonWriter& key(std::string_view name);
   JsonWriter& string(std::string_view value);
-  /// value [1] as %.10g. Throws dsmt::SolveError (kNonFinite) when value is
-  /// NaN/Inf, exactly as Json::number() does.
+  /// Writes value as snprintf("%.10g") does, byte for byte, mostly
+  /// without calling it: |value| is scaled by an exact power of ten (10^k,
+  /// |k| <= 27) in x87 long double, whose one rounding errs by at most
+  /// ~5e-10 on the 10-digit integer, which is then laid out as %g does.
+  /// snprintf writes it instead for a fraction within 1e-8 of .5 (a
+  /// near-tie the error could flip), k out of range, 0 and -0, and where
+  /// long double is not the x87 format. Throws dsmt::SolveError
+  /// (kNonFinite) when value [1] is NaN/Inf, as Json::number() does.
   JsonWriter& number(double value);
   /// value [1]: like number(), but writes null for a non-finite value.
   JsonWriter& number_or_null(double value);
@@ -60,15 +77,21 @@ class JsonWriter {
   JsonWriter& null();
 
   /// Writes an array of `count` items; write_item(w, i) writes item i into
-  /// `w`. An array of 256 or more items renders each item into its own part
-  /// across the parallel pool (serially inside a parallel region) and joins
-  /// the parts in index order: the bytes are the same at every thread count.
+  /// `w`. An array of 256 or more items renders across the parallel pool
+  /// (serially inside a parallel region): each contiguous run of items goes
+  /// into one part, at most thread_count() * 8 parts, every item preceded
+  /// by the separator and newline the serial loop writes before it. The
+  /// parts are appended, or handed to the sink, in index order: the bytes
+  /// are the same at every thread count.
   JsonWriter& array(
       std::size_t count,
       const std::function<void(JsonWriter&, std::size_t)>& write_item);
 
   /// The bytes written so far; the writer is spent afterwards.
   std::string take() { return std::move(out_); }
+  /// Hands the bytes written since the sink last got any to the sink.
+  /// Without a sink they stay for take().
+  void flush();
 
  private:
   void before_value();
@@ -78,6 +101,7 @@ class JsonWriter {
 
   int indent_;
   std::size_t base_depth_;
+  Sink sink_;
   std::string out_;
   std::vector<bool> open_;  ///< per open container: holds a member yet
   bool after_key_ = false;

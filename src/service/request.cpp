@@ -207,9 +207,11 @@ std::string dump_response(const Response& response) {
   return out.take();
 }
 
-std::string dump_batch(const std::vector<Response>& responses,
-                       const report::Json& service, int indent) {
-  report::JsonWriter out(indent);
+namespace {
+
+void write_batch_document(report::JsonWriter& out,
+                          const std::vector<Response>& responses,
+                          const report::Json& service) {
   out.begin_object();
   out.key("responses").array(
       responses.size(), [&](report::JsonWriter& part, std::size_t i) {
@@ -218,6 +220,24 @@ std::string dump_batch(const std::vector<Response>& responses,
   out.key("service");
   service.write_to(out);
   out.end_object();
+}
+
+}  // namespace
+
+void write_batch(const std::vector<Response>& responses,
+                 const report::Json& service, int indent,
+                 const report::JsonWriter::Sink& sink) {
+  report::JsonWriter out(indent, 0, sink);
+  write_batch_document(out, responses, service);
+  out.flush();
+}
+
+std::string dump_batch(const std::vector<Response>& responses,
+                       const report::Json& service, int indent) {
+  // Without a sink the writer appends the parts into a string reserved to
+  // their total size: one copy, where a sink growing a string copies more.
+  report::JsonWriter out(indent);
+  write_batch_document(out, responses, service);
   return out.take();
 }
 

@@ -101,10 +101,15 @@ void write_response(report::JsonWriter& out, const Response& response);
 /// Compact JSON text of one reply, through write_response: the payload of
 /// a reply frame.
 std::string dump_response(const Response& response);
-/// The batch reply document {"responses": [...], "service": ...} at
-/// `indent`. Each reply is written into its own part inside the parallel
-/// fan-out and the parts join in index order, so no tree of the replies is
-/// built and the bytes are the same at every thread count.
+/// Writes the batch reply document {"responses": [...], "service": ...} at
+/// `indent` through `sink`, in document order. Runs of replies are written
+/// into parts inside the parallel fan-out and handed to the sink in index
+/// order, so no tree of the replies and no joined copy of the document is
+/// built, and the bytes are the same at every thread count.
+void write_batch(const std::vector<Response>& responses,
+                 const report::Json& service, int indent,
+                 const report::JsonWriter::Sink& sink);
+/// The bytes write_batch hands its sink, as one string.
 std::string dump_batch(const std::vector<Response>& responses,
                        const report::Json& service, int indent);
 

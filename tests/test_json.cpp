@@ -1,7 +1,13 @@
 // JSON writer/parser and sign-off serialization tests.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -206,6 +212,147 @@ TEST(JsonParse, ArraySpansSplitTopLevelElementsOnly) {
                SolveError);
   EXPECT_THROW(Json::parse_element("[1]", {1, 9}), std::out_of_range);
   EXPECT_THROW(Json::parse_element("[1 2]", {1, 4}), SolveError);
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Uniform in [0, 1) with 53 random bits.
+double unit(std::uint64_t& state) {
+  return static_cast<double>(splitmix64(state) >> 11) * 0x1p-53;
+}
+
+/// Feeds values to JsonWriter::number and to snprintf("%.10g"), in blocks
+/// written as one compact array each, and counts the values whose text
+/// differs. The first few mismatches are reported.
+class G10Differential {
+ public:
+  ~G10Differential() { flush(); }
+
+  void check(double value) {
+    block_.push_back(value);
+    if (block_.size() == 4096) flush();
+  }
+  std::size_t checked() const { return checked_; }
+  std::size_t mismatches() const { return mismatches_; }
+
+  void flush() {
+    if (block_.empty()) return;
+    JsonWriter out;
+    out.begin_array();
+    std::string expected = "[";
+    char buf[40];
+    for (std::size_t i = 0; i < block_.size(); ++i) {
+      out.number(block_[i]);
+      std::snprintf(buf, sizeof buf, "%.10g", block_[i]);
+      if (i > 0) expected += ',';
+      expected += buf;
+    }
+    out.end_array();
+    expected += ']';
+    checked_ += block_.size();
+    if (out.take() != expected) {
+      for (const double v : block_) {
+        JsonWriter one;
+        one.number(v);
+        std::snprintf(buf, sizeof buf, "%.10g", v);
+        if (one.take() == buf) continue;
+        if (++mismatches_ <= 10)
+          ADD_FAILURE() << "%.10g of " << std::hexfloat << v << " is " << buf;
+      }
+    }
+    block_.clear();
+  }
+
+ private:
+  std::vector<double> block_;
+  std::size_t checked_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+TEST(JsonNumber, G10IsPrintfByteForByte) {
+  G10Differential diff;
+  std::uint64_t state = 20261018;
+  const auto both_signs = [&](double v) {
+    if (!std::isfinite(v)) return;
+    diff.check(v);
+    diff.check(-v);
+  };
+  // Random bit patterns: every binary exponent, subnormals included.
+  for (int i = 0; i < 500'000; ++i) {
+    const double v = std::bit_cast<double>(splitmix64(state));
+    if (std::isfinite(v)) diff.check(v);
+  }
+  // Log-uniform over every decade, 1e-320 .. 1e308.
+  for (int i = 0; i < 500'000; ++i)
+    both_signs(std::pow(10.0, -320.0 + 628.0 * unit(state)));
+  // Log-uniform over 1e-25 .. 1e35, the decades service payloads live in.
+  for (int i = 0; i < 3'000'000; ++i)
+    both_signs(std::pow(10.0, -25.0 + 60.0 * unit(state)));
+  // A 10-digit midpoint d.ddddddddd5 x 10^e and the doubles next to it:
+  // the values a rounding error would flip.
+  char text[48];
+  for (int i = 0; i < 300'000; ++i) {
+    const long long digits =
+        1'000'000'000LL + static_cast<long long>(splitmix64(state) %
+                                                  9'000'000'000ULL);
+    const int exponent = static_cast<int>(splitmix64(state) % 80) - 40;
+    std::snprintf(text, sizeof text, "%lld5e%d", digits, exponent - 10);
+    double v = std::strtod(text, nullptr);
+    for (int step = 0; step < 2; ++step) v = std::nextafter(v, 0.0);
+    for (int step = 0; step < 5; ++step) {
+      both_signs(v);
+      v = std::nextafter(v, INFINITY);
+    }
+  }
+  // Exact ties, which snprintf breaks to even: n.5 for 10-digit n, and
+  // 11-digit integers ending in 5 times powers of ten below 2^53.
+  for (int i = 0; i < 200'000; ++i) {
+    const auto n = static_cast<double>(
+        1'000'000'000LL + static_cast<long long>(splitmix64(state) %
+                                                  9'000'000'000ULL));
+    both_signs(n + 0.5);
+    both_signs((n * 10.0 + 5.0) * std::pow(10.0, static_cast<int>(i % 5)));
+  }
+  // The %g style switches and the carries into the next decade.
+  const double edges[] = {
+      1e-5, 1e-4, 9.9999999995e-5, 9.99999999949e-5, 9.99999999951e-5,
+      0.001, 0.1, 1.0, 9.9999999995, 999999999.95, 9999999999.0,
+      9999999999.4, 9999999999.5, 9999999999.6, 1e10, 1e9, 123456789012.0,
+      1e-18, 1e-19, 1e36, 1e37, 9.9999999995e36, 1e100, 1e-100, 0.0,
+      DBL_MAX, DBL_MIN, DBL_TRUE_MIN, DBL_MIN / 3.0, DBL_EPSILON,
+      1.25e-13, 104.31234567891, 1.8973665961010275, 6.0e-3};
+  for (const double v : edges) {
+    both_signs(v);
+    both_signs(std::nextafter(v, 0.0));
+    both_signs(std::nextafter(v, INFINITY));
+  }
+  for (int e = -330; e <= 310; ++e) {
+    std::snprintf(text, sizeof text, "1e%d", e);
+    const double v = std::strtod(text, nullptr);
+    if (!std::isfinite(v)) continue;
+    both_signs(v);
+    both_signs(std::nextafter(v, 0.0));
+    both_signs(std::nextafter(v, INFINITY));
+  }
+  diff.flush();
+  EXPECT_GE(diff.checked(), 10'000'000u);
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked() << " values";
+}
+
+TEST(JsonNumber, IntegerIsPrintfLld) {
+  char buf[32];
+  for (const long long v : {LLONG_MIN, LLONG_MIN + 1, -1000000000000LL, -1LL,
+                            0LL, 7LL, 1234567890123LL, LLONG_MAX}) {
+    JsonWriter out;
+    out.integer(v);
+    std::snprintf(buf, sizeof buf, "%lld", v);
+    EXPECT_EQ(out.take(), buf);
+  }
 }
 
 TEST(Json, StringEscaping) {

@@ -1,7 +1,8 @@
 // Writer differential suite (ctest labels `service` and `parallel`): every
 // production reply is written straight from the Response by
-// service::write_response, and the batch document by service::dump_batch.
-// Both must emit exactly the bytes of the tree-built reference
+// service::write_response, and the batch document by service::write_batch
+// (streamed through a sink) or service::dump_batch (into a string). All
+// must emit exactly the bytes of the tree-built reference
 // (response_to_json / diag_to_json, then Json::dump) at every indent and at
 // every thread count. Mutates the global thread count, so it gets its own
 // executable.
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "parallel/thread_pool.h"
@@ -163,7 +165,7 @@ TEST(JsonWriter, BatchDocumentMatchesTreeAtEveryIndentAndThreadCount) {
       .set("shed", report::Json::integer(0))
       .set("levels", report::Json::array());
   // 255/256/257 straddle the size at which the writer fans out.
-  for (const std::size_t n : {0u, 1u, 255u, 256u, 257u}) {
+  for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 20000u}) {
     std::vector<Response> responses;
     for (std::size_t i = 0; i < n; ++i) {
       responses.push_back(corpus[i % corpus.size()]);
@@ -177,7 +179,8 @@ TEST(JsonWriter, BatchDocumentMatchesTreeAtEveryIndentAndThreadCount) {
     for (const int indent : {-1, 0, 2}) {
       parallel::set_thread_count(1);
       const std::string expected = root.dump(indent);
-      for (const std::size_t threads : {1u, 8u}) {
+      // Three threads puts the part boundaries off a power of two.
+      for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
         parallel::set_thread_count(threads);
         EXPECT_EQ(dump_batch(responses, service, indent), expected)
             << n << " replies at indent " << indent << ", " << threads
@@ -185,6 +188,23 @@ TEST(JsonWriter, BatchDocumentMatchesTreeAtEveryIndentAndThreadCount) {
         EXPECT_EQ(root.dump(indent), expected)
             << n << " replies at indent " << indent << ", " << threads
             << " threads";
+        std::string streamed;
+        std::size_t runs = 0;
+        write_batch(responses, service, indent, [&](std::string_view bytes) {
+          streamed += bytes;
+          ++runs;
+        });
+        EXPECT_EQ(streamed, expected)
+            << n << " replies at indent " << indent << ", " << threads
+            << " threads";
+        // A fanned-out array reaches the sink as the bytes before it, its
+        // parts (at most 8 per thread) and the rest; a serial one as one run.
+        if (threads > 1 && n >= 256) {
+          EXPECT_GE(runs, 3u) << n << " replies, " << threads << " threads";
+          EXPECT_LE(runs, threads * 8 + 2) << n << " replies";
+        } else {
+          EXPECT_EQ(runs, 1u) << n << " replies, " << threads << " threads";
+        }
       }
     }
   }
