@@ -79,8 +79,7 @@ int usage(bool to_stdout = false) {
       "                  [--tick-ms M] [--idle-ticks N] [--drain-ticks N]\n"
       "                  [--isolate] [--workers N] [--rlimit-as-mb N]\n"
       "                  [--rlimit-cpu-s N] [--crash-faults KIND[:SUBSTR]]\n"
-      "                  [--cache-dir DIR] [--warm-cache]\n"
-      "                  [--indent N] [--strict] [--help]\n"
+      "                  [--warm-cache] [--indent N] [--strict] [--help]\n"
       "\n"
       "Batch mode (default; --batch - reads stdin) serves one JSON batch\n"
       "and prints {\"responses\": [...], \"service\": {...}}.\n"
@@ -95,12 +94,11 @@ int usage(bool to_stdout = false) {
       "KIND[:SUBSTR] (abort|segv|oom|stall, default SUBSTR \"poison\") arms the\n"
       "crash-chaos harness in the children only.\n"
       "\n"
-      "--cache-dir DIR persists the content-addressed solve cache as an\n"
-      "append-only checksummed segment (DIR/solve.dsc), recovered and\n"
-      "repaired at startup; --warm-cache pre-solves the hot lattice into\n"
-      "it. Every hit is checksum-verified and replies stay byte-identical\n"
-      "to cold solves; corrupt entries are quarantined, never served.\n"
-      "Works with and without --isolate (the parent shares the cache).\n"
+      "--warm-cache attaches an in-memory content-addressed solve cache and\n"
+      "pre-solves the hot lattice into it. Every hit is checksum-verified\n"
+      "and replies stay byte-identical to cold solves; corrupt entries are\n"
+      "quarantined, never served. Works with and without --isolate (the\n"
+      "parent shares the cache).\n"
       "\n"
       "exit codes:\n"
       "  0  served: every request answered (batch) / clean drain (socket);\n"
@@ -292,22 +290,17 @@ int main(int argc, char** argv) {
           1000000ULL;
     const int indent = opts.count("indent") ? std::stoi(opts["indent"]) : 2;
 
-    // Content-addressed solve cache: --cache-dir makes it durable (the
-    // segment file is recovered/repaired here, before any server thread
-    // exists), --warm-cache alone gives a memory-only warm cache.
-    std::shared_ptr<cache::SolveCache> solve_cache;
-    if (opts.count("cache-dir") || warm) {
-      cache::SolveCacheConfig cache_config;
-      if (opts.count("cache-dir")) cache_config.dir = opts["cache-dir"];
-      solve_cache = std::make_shared<cache::SolveCache>(cache_config);
-      if (warm) {
-        const cache::WarmReport report = cache::warm_hot_lattice(*solve_cache);
-        std::fprintf(stderr,
-                     "dsmt_serve: warm cache: %zu lattice points, %zu "
-                     "solved, %zu cached\n",
-                     report.requested, report.solved, report.inserted);
-      }
-      config.solve_cache = solve_cache;
+    // Content-addressed solve cache (memory-only), warmed before any
+    // server thread exists.
+    if (warm) {
+      auto solve_cache =
+          std::make_shared<cache::SolveCache>(cache::SolveCacheConfig{});
+      const cache::WarmReport report = cache::warm_hot_lattice(*solve_cache);
+      std::fprintf(stderr,
+                   "dsmt_serve: warm cache: %zu lattice points, %zu "
+                   "solved, %zu cached\n",
+                   report.requested, report.solved, report.inserted);
+      config.solve_cache = std::move(solve_cache);
     }
 
     const bool socket_mode = opts.count("listen") > 0 || opts.count("tcp") > 0;
@@ -356,7 +349,7 @@ int main(int argc, char** argv) {
     sup.service = config;  // the CHILD-side service configuration
     // The parent serves verified hits itself; the WorkerPool constructor
     // strips service.solve_cache so children never inherit the cache.
-    sup.solve_cache = solve_cache;
+    sup.solve_cache = config.solve_cache;
     if (opts.count("workers"))
       sup.workers = static_cast<std::size_t>(std::stoul(opts["workers"]));
     if (opts.count("rlimit-as-mb"))

@@ -54,7 +54,7 @@ CachedSolve from_solution(const selfconsistent::Solution& solution);
 /// selfconsistent::solve_one leaves behind on a first-try success.
 selfconsistent::Solution to_solution(const CachedSolve& value);
 
-/// Serializes (key, value) into the segment payload layout.
+/// Serializes (key, value) into the resident payload layout.
 std::string encode_payload(const std::string& key, const CachedSolve& value);
 
 /// Parses a payload; false on any structural violation (short buffer,

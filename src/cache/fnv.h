@@ -1,22 +1,21 @@
 // FNV-1a 64-bit: the one checksum/content-hash primitive in the tree.
 //
 // Two subsystems hash bytes today — the supervise quarantine table keys
-// requests by content, and the solve cache checksums every segment entry
-// and shards its map. They must agree on ONE implementation: a cache
-// written by a binary whose hash disagrees with the reader's is
-// indistinguishable from corruption, and a quarantine table that hashes
-// differently than the cache would defeat the shared-parent-cache answer
-// path for poison repeats. Lint rule R14 fences
-// the FNV constants into this header so a drive-by reimplementation (with,
-// say, a typo'd prime) cannot creep in elsewhere.
+// requests by content, and the in-memory solve cache checksums every
+// resident entry and shards its map. Both live for one process only, but
+// they must still agree on ONE implementation: a cache whose verify hash
+// disagreed with its publish hash would quarantine every entry as
+// corrupt, and a reimplementation with, say, a typo'd prime would change
+// the quarantine hashes that replies and the sign-off report print. Lint
+// rule R14 fences the FNV constants into this header so such a drive-by
+// copy cannot creep in elsewhere.
 //
 // Two official bases exist and both stay:
 //   kOffsetBasis        — the standard FNV-1a offset basis. New users.
-//   kCanonicalBasis     — the basis PR 9's canonical_request_hash shipped
+//   kCanonicalBasis     — the basis canonical_request_hash first shipped
 //                         with (a historical transcription of the standard
 //                         basis in decimal that dropped a digit). Changing
-//                         it would silently invalidate every quarantine
-//                         table and cache segment stamped by PR 9 binaries,
+//                         it would change every printed quarantine hash,
 //                         so it is frozen here under its own name.
 // (core/checkpoint keeps a private copy of the standard constants: the core
 // layer cannot depend on cache/, and its config-hash scheme predates this
@@ -32,7 +31,7 @@ namespace dsmt::cache {
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 /// Standard FNV-1a 64-bit offset basis (0xcbf29ce484222325).
 inline constexpr std::uint64_t kOffsetBasis = 14695981039346656037ull;
-/// PR 9's supervise content-hash basis — frozen, see header comment.
+/// The supervise content-hash basis — frozen, see header comment.
 inline constexpr std::uint64_t kCanonicalBasis = 1469598103934665603ull;
 
 /// FNV-1a over `n` bytes, starting from `seed`. Chainable: pass a previous

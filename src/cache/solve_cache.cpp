@@ -11,8 +11,6 @@ namespace dsmt::cache {
 
 SolveCache::SolveCache(SolveCacheConfig config)
     : config_(std::move(config)),
-      schema_stamp_(config_.schema_stamp != 0 ? config_.schema_stamp
-                                              : default_schema_stamp()),
       per_shard_cap_(
           std::max<std::size_t>(1, config_.max_entries /
                                        std::max<std::size_t>(
@@ -21,65 +19,10 @@ SolveCache::SolveCache(SolveCacheConfig config)
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i)
     shards_.push_back(std::make_unique<Shard>());
-
-  if (config_.dir.empty()) return;
-  const std::string path = config_.dir + "/solve.dsc";
-  // Constructor runs in a single-threaded window (like WorkerPool's): the
-  // replay and the stats snapshot need no locks, but install() is reused,
-  // so take each shard's lock anyway to keep the annotations honest.
-  load_ = load_segment(path, schema_stamp_,
-                       [this](std::string key, const CachedSolve& value) {
-                         Entry entry;
-                         entry.payload = encode_payload(key, value);
-                         entry.checksum = fnv1a(entry.payload);
-                         Shard& shard = shard_for(key);
-                         MutexLock lock(shard.mu);
-                         install(shard, key, std::move(entry));
-                       });
-  corrupt_quarantined_.fetch_add(load_.corrupt_quarantined,
-                                 std::memory_order_relaxed);
-  // Replay reuses install(), which counts inserts; "inserts" means entries
-  // PUBLISHED this process ("loaded" owns the replayed ones), so reset.
-  inserts_.store(0, std::memory_order_relaxed);
-  // Open for appending AFTER recovery truncated any torn tail, so new
-  // records land at the repaired end.
-  MutexLock lock(segment_mu_);
-  log_ = std::make_unique<core::AppendLog>(path);
 }
-
-SolveCache::~SolveCache() = default;
 
 SolveCache::Shard& SolveCache::shard_for(const std::string& key) {
   return *shards_[fnv1a(key) % shards_.size()];
-}
-
-bool SolveCache::install(Shard& shard, const std::string& key, Entry entry) {
-  const std::size_t entry_bytes = entry.payload.size();
-  auto [at, inserted] = shard.entries.try_emplace(key, std::move(entry));
-  if (!inserted) return false;  // first writer wins; values are identical
-  shard.order.push_back(key);
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  while (shard.entries.size() > per_shard_cap_ &&
-         shard.evict_head < shard.order.size()) {
-    const std::string victim = shard.order[shard.evict_head++];
-    const auto victim_it = shard.entries.find(victim);
-    if (victim_it == shard.entries.end()) continue;  // already quarantined
-    bytes_.fetch_sub(victim_it->second.payload.size(),
-                     std::memory_order_relaxed);
-    entries_.fetch_sub(1, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    shard.entries.erase(victim_it);
-  }
-  // Compact the FIFO ring once the dead prefix dominates it.
-  if (shard.evict_head > 64 && shard.evict_head * 2 > shard.order.size()) {
-    shard.order.erase(shard.order.begin(),
-                      shard.order.begin() +
-                          static_cast<std::ptrdiff_t>(shard.evict_head));
-    shard.evict_head = 0;
-  }
-  return true;
 }
 
 bool SolveCache::verified_get(Shard& shard, const std::string& key,
@@ -95,8 +38,8 @@ bool SolveCache::verified_get(Shard& shard, const std::string& key,
     out = value;
     return true;
   }
-  // The entry lied — resident corruption or a decode the segment loader
-  // missed. Quarantine: count, evict, and let the caller solve for real.
+  // The entry lied — resident corruption. Quarantine: count, evict, and
+  // let the caller solve for real.
   bytes_.fetch_sub(entry.payload.size(), std::memory_order_relaxed);
   entries_.fetch_sub(1, std::memory_order_relaxed);
   corrupt_quarantined_.fetch_add(1, std::memory_order_relaxed);
@@ -149,23 +92,39 @@ Acquire SolveCache::acquire(const std::string& key, CachedSolve& out) {
 }
 
 void SolveCache::publish(const std::string& key, const CachedSolve& value) {
-  const std::string payload = encode_payload(key, value);
   Entry entry;
-  entry.payload = payload;
-  entry.checksum = fnv1a(payload);
-  bool newly_inserted = false;
-  {
-    Shard& shard = shard_for(key);
-    MutexLock lock(shard.mu);
-    shard.flights.erase(key);
-    newly_inserted = install(shard, key, std::move(entry));
-    shard.published.notify_all();
+  entry.payload = encode_payload(key, value);
+  entry.checksum = fnv1a(entry.payload);
+  const std::size_t entry_bytes = entry.payload.size();
+  Shard& shard = shard_for(key);
+  MutexLock lock(shard.mu);
+  shard.flights.erase(key);
+  // Woken waiters re-check only once this lock drops, after the install.
+  shard.published.notify_all();
+  // First writer wins; a racer's value is identical.
+  if (!shard.entries.try_emplace(key, std::move(entry)).second) return;
+  shard.order.push_back(key);
+  entries_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
+  inserts_.fetch_add(1, std::memory_order_relaxed);
+  while (shard.entries.size() > per_shard_cap_ &&
+         shard.evict_head < shard.order.size()) {
+    const std::string victim = shard.order[shard.evict_head++];
+    const auto victim_it = shard.entries.find(victim);
+    if (victim_it == shard.entries.end()) continue;  // already quarantined
+    bytes_.fetch_sub(victim_it->second.payload.size(),
+                     std::memory_order_relaxed);
+    entries_.fetch_sub(1, std::memory_order_relaxed);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    shard.entries.erase(victim_it);
   }
-  if (!newly_inserted) return;  // already durable (or a duplicate racer)
-  // Shard lock released before the level-1 segment lock: the fsync'd
-  // append must never stall readers of the shard.
-  MutexLock lock(segment_mu_);
-  if (log_ != nullptr) log_->append(encode_record(payload, schema_stamp_));
+  // Compact the FIFO ring once the dead prefix dominates it.
+  if (shard.evict_head > 64 && shard.evict_head * 2 > shard.order.size()) {
+    shard.order.erase(shard.order.begin(),
+                      shard.order.begin() +
+                          static_cast<std::ptrdiff_t>(shard.evict_head));
+    shard.evict_head = 0;
+  }
 }
 
 void SolveCache::abandon(const std::string& key) {
@@ -185,10 +144,6 @@ CacheStats SolveCache::stats() const {
       corrupt_quarantined_.load(std::memory_order_relaxed);
   s.entries = entries_.load(std::memory_order_relaxed);
   s.bytes = bytes_.load(std::memory_order_relaxed);
-  s.loaded = load_.entries_loaded;
-  s.torn_truncated = load_.torn_truncated;
-  s.bytes_truncated = load_.bytes_truncated;
-  s.refused_stamp = load_.refused_stamp;
   return s;
 }
 
@@ -204,12 +159,7 @@ report::Json SolveCache::cache_json() const {
       .set("corrupt_quarantined",
            Json::integer(static_cast<long long>(s.corrupt_quarantined)))
       .set("entries", Json::integer(static_cast<long long>(s.entries)))
-      .set("bytes", Json::integer(static_cast<long long>(s.bytes)))
-      .set("loaded", Json::integer(static_cast<long long>(s.loaded)))
-      .set("torn_truncated",
-           Json::integer(static_cast<long long>(s.torn_truncated)))
-      .set("refused_stamp", Json::boolean(s.refused_stamp))
-      .set("durable", Json::boolean(!config_.dir.empty()));
+      .set("bytes", Json::integer(static_cast<long long>(s.bytes)));
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Content-addressed solve cache: sharded, single-flight, durable.
+// Content-addressed solve cache: sharded, single-flight, memory-only.
 //
 // The map is deterministically sharded — shard = fnv1a(key) % shards, a
 // pure function of the canonical request — so which lock a request takes
@@ -17,16 +17,12 @@
 //
 // Integrity: entries are stored as encoded payload bytes plus their FNV-1a
 // digest, and EVERY hit re-verifies the digest and re-decodes before
-// serving — a flipped bit in resident memory or a corrupt entry slipped
-// into the segment is quarantined (counted, evicted) and the request falls
-// back to a full solve. The durable form is an append-only segment file
-// (cache/segment.h) replayed at construction under the recovery policy
-// documented there.
+// serving — a flipped bit in resident memory is quarantined (counted,
+// evicted) and the request falls back to a full solve. Nothing is kept on
+// disk: a solve costs under a microsecond, so a restart loses nothing.
 //
 // Lock hierarchy (DESIGN.md §7): shard mutexes are LEVEL 0 — held across
-// waits but never across I/O or callbacks; the segment append mutex is
-// LEVEL 1 — held across the fsync'd append, never while holding a shard
-// lock (publish releases the shard before appending).
+// waits but never across I/O or callbacks, and never two at once.
 #pragma once
 
 #include <atomic>
@@ -39,21 +35,15 @@
 #include <vector>
 
 #include "cache/entry.h"
-#include "cache/segment.h"
-#include "core/atomic_file.h"
 #include "core/thread_annotations.h"
 #include "report/json.h"
 
 namespace dsmt::cache {
 
 struct SolveCacheConfig {
-  /// Directory for the segment file; empty = memory-only cache.
-  std::string dir;
   std::size_t shards = 8;
   /// Total resident entries across shards; per-shard FIFO eviction.
   std::size_t max_entries = 65536;
-  /// Physics-schema stamp for segment records; 0 = default_schema_stamp().
-  std::uint64_t schema_stamp = 0;
   /// Waiter park granularity [ms]: cancellation/deadline observation lag.
   int poll_interval_ms = 10;
   /// Max time a waiter coalesces behind a leader before solving on its
@@ -68,16 +58,11 @@ struct CacheStats {
   std::uint64_t coalesced = 0;   ///< hits served after parking on a flight
   std::uint64_t inserts = 0;     ///< entries published
   std::uint64_t evictions = 0;   ///< FIFO capacity evictions
-  /// Entries never served because their checksum or structure failed —
-  /// resident verify failures plus segment-load quarantines.
+  /// Resident entries never served because their checksum or structure
+  /// failed verification.
   std::uint64_t corrupt_quarantined = 0;
   std::uint64_t entries = 0;  ///< resident now
   std::uint64_t bytes = 0;    ///< resident payload bytes now
-  // Segment recovery outcome (set once at construction).
-  std::uint64_t loaded = 0;           ///< entries replayed from disk
-  std::uint64_t torn_truncated = 0;   ///< tail truncation events
-  std::uint64_t bytes_truncated = 0;
-  bool refused_stamp = false;         ///< segment refused: schema mismatch
 };
 
 /// acquire() outcome: serve the hit, lead the solve, or solve without a
@@ -87,7 +72,6 @@ enum class Acquire { kHit, kLead, kSolve };
 class SolveCache {
  public:
   explicit SolveCache(SolveCacheConfig config);
-  ~SolveCache();
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
 
@@ -100,8 +84,9 @@ class SolveCache {
   /// kSolve: solve independently, publishing is welcome but optional.
   Acquire acquire(const std::string& key, CachedSolve& out);
 
-  /// Installs (key, value), wakes the key's waiters, appends to the
-  /// segment. Callable by leaders and independent solvers alike.
+  /// Installs (key, value), evicting FIFO over capacity, and wakes the
+  /// key's waiters. A key already resident is left as it is. Callable by
+  /// leaders and independent solvers alike.
   void publish(const std::string& key, const CachedSolve& value);
 
   /// Releases a led flight without a value; the earliest waiter is
@@ -111,9 +96,10 @@ class SolveCache {
   CacheStats stats() const;
   /// The "cache.solve" observability section (ping + sign-off).
   report::Json cache_json() const;
-  const SolveCacheConfig& config() const { return config_; }
 
  private:
+  friend struct SolveCacheTestPeer;  // corrupts resident entries in tests
+
   struct Entry {
     std::string payload;     ///< encode_payload(key, value) bytes
     std::uint64_t checksum;  ///< fnv1a(payload), re-verified on every hit
@@ -130,16 +116,11 @@ class SolveCache {
   };
 
   Shard& shard_for(const std::string& key);
-  /// Installs the entry into `shard` (caller holds its lock) and evicts
-  /// FIFO over capacity. Returns true when the key was newly inserted.
-  bool install(Shard& shard, const std::string& key, Entry entry)
-      DSMT_REQUIRES(shard.mu);
   /// Verifies + decodes a resident entry; quarantines it on mismatch.
   bool verified_get(Shard& shard, const std::string& key, CachedSolve& out)
       DSMT_REQUIRES(shard.mu);
 
   const SolveCacheConfig config_;
-  const std::uint64_t schema_stamp_;
   const std::size_t per_shard_cap_;
   // R10-ok: sized once in the constructor and never resized; all mutable
   // state lives inside each Shard under its own mutex.
@@ -155,15 +136,6 @@ class SolveCache {
   std::atomic<std::uint64_t> corrupt_quarantined_{0};
   std::atomic<std::uint64_t> entries_{0};
   std::atomic<std::uint64_t> bytes_{0};
-
-  // R10-ok: segment recovery outcome, written once in the constructor's
-  // single-threaded window and read-only afterwards.
-  SegmentLoadStats load_;
-
-  /// LEVEL 1: held across the fsync'd segment append; never acquired while
-  /// holding a shard lock.
-  Mutex segment_mu_;
-  std::unique_ptr<core::AppendLog> log_ DSMT_GUARDED_BY(segment_mu_);
 };
 
 /// RAII companion for acquire() == kLead: abandons the flight on every
@@ -182,7 +154,6 @@ class FlightLease {
     key_ = std::move(key);
   }
   void dismiss() { cache_ = nullptr; }
-  bool armed() const { return cache_ != nullptr; }
 
  private:
   SolveCache* cache_ = nullptr;

@@ -90,72 +90,6 @@ void atomic_write_file(const std::string& path, const std::string& content) {
   ::close(dfd);
 }
 
-AppendLog::AppendLog(std::string path) : path_(std::move(path)) {
-  do {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                 0644);
-  } while (fd_ < 0 && errno == EINTR);
-}
-
-AppendLog::~AppendLog() { disable(); }
-
-void AppendLog::disable() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-bool AppendLog::append(const std::string& record) {
-  if (fd_ < 0) return false;
-  // One write(2) call per record when the kernel cooperates; O_APPEND makes
-  // each write land atomically at the current end even with concurrent
-  // appenders. A short write (disk full, signal after partial progress) is
-  // continued — the reader's checksums own torn-record detection, the
-  // writer's job is only to never interleave two records.
-  std::size_t off = 0;
-  while (off < record.size()) {
-    const ::ssize_t n =
-        ::write(fd_, record.data() + off, record.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      disable();
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  int rc = 0;
-  do {
-    rc = ::fsync(fd_);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0 && errno != EINVAL && errno != ENOTSUP) {
-    disable();
-    return false;
-  }
-  return true;
-}
-
-bool truncate_file_to(const std::string& path, std::uint64_t size) {
-  int fd = -1;
-  do {
-    fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) return false;
-  int rc = 0;
-  do {
-    rc = ::ftruncate(fd, static_cast<::off_t>(size));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    ::close(fd);
-    return false;
-  }
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  ::close(fd);
-  return rc == 0 || errno == EINVAL || errno == ENOTSUP;
-}
-
 void AtomicFile::commit() {
   if (committed_)
     throw std::logic_error("AtomicFile: commit() called twice for " + path_);

@@ -10,7 +10,6 @@
 // new name itself survives a power cut.
 #pragma once
 
-#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -20,38 +19,6 @@ namespace dsmt::core {
 /// temp file cannot be created, written, synced, or renamed (the target is
 /// left untouched and the temp file is removed).
 void atomic_write_file(const std::string& path, const std::string& content);
-
-/// Durable append-only writer for record-structured logs (the solve-cache
-/// segment file). Unlike atomic_write_file this never rewrites the target:
-/// each append() is one O_APPEND write of a complete record followed by an
-/// fsync, so a crash mid-append can tear at most the final record — which
-/// the reader's per-record checksum detects and truncates. Errors are
-/// sticky: after the first failed open/write/sync the log disables itself
-/// and every later append() returns false (callers degrade to memory-only
-/// operation rather than risking interleaved half-records).
-class AppendLog {
- public:
-  explicit AppendLog(std::string path);
-  ~AppendLog();
-  AppendLog(const AppendLog&) = delete;
-  AppendLog& operator=(const AppendLog&) = delete;
-
-  /// Appends one complete record durably. False when the log is disabled.
-  bool append(const std::string& record);
-  bool ok() const { return fd_ >= 0; }
-  const std::string& path() const { return path_; }
-
- private:
-  void disable();
-
-  std::string path_;
-  int fd_ = -1;
-};
-
-/// Truncates `path` to exactly `size` bytes and fsyncs, for recovery paths
-/// that cut a torn tail off an append-only log. False on any failure (the
-/// caller should then treat the file as read-only history).
-bool truncate_file_to(const std::string& path, std::uint64_t size);
 
 /// Buffered atomic writer: stream into memory, then commit() the whole
 /// artifact in one atomic rename. A writer abandoned without commit()

@@ -136,9 +136,9 @@ ExecuteResult to_result(const service::Response& resp) {
 
 namespace {
 
-/// Children must never inherit the parent's solve cache: the AppendLog fd
-/// would cross fork() and child publishes would interleave with the
-/// parent's segment appends. The parent-side handle is config.solve_cache.
+/// Children must never inherit the parent's solve cache: the parent alone
+/// owns the memo, and a child's copy would fill a map no later request
+/// reaches. The parent-side handle is config.solve_cache.
 SuperviseConfig strip_child_cache(SuperviseConfig config) {
   config.service.solve_cache.reset();
   return config;

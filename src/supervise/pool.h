@@ -89,8 +89,8 @@ struct SuperviseConfig {
   /// are answered before the quarantine table and the worker lease, so
   /// quarantined-poison repeats and crashed-worker retries whose canonical
   /// twin already solved never touch a child. Children NEVER inherit it —
-  /// the constructor strips service.solve_cache before forking (a cache fd
-  /// shared across fork would interleave segment appends).
+  /// the constructor strips service.solve_cache before forking, so the
+  /// parent alone owns the memo.
   std::shared_ptr<cache::SolveCache> solve_cache;
 };
 

@@ -28,8 +28,9 @@ std::uint64_t canonical_request_hash(const service::Request& request) {
       service::request_to_json(request).dump(-1);
   // FNV-1a over the full canonical serialization, from the one shared
   // primitive (cache/fnv.h). kCanonicalBasis is this function's historical
-  // basis, frozen there: changing it would invalidate every quarantine
-  // table and cache segment stamped by earlier binaries.
+  // basis, frozen there: changing it would change the hash that
+  // worker-crashed replies and the sign-off quarantine table print for the
+  // same request from one build to the next.
   return cache::fnv1a(canonical, cache::kCanonicalBasis);
 }
 

@@ -313,11 +313,11 @@ TEST(BatchDifferential, FaultInjectedLanesMatchScalar) {
   const BatchProblem bp = to_batch(ps);
 
   const FaultPlan plans[] = {
-      {FaultKind::kNanResidual, "numeric/brent", 3, 10.0},
-      {FaultKind::kExhaustIterations, "numeric/brent", 5, 10.0},
-      {FaultKind::kPerturbResidual, "numeric/brent", 2, -5.0},
-      {FaultKind::kNanResidual, "numeric/bisect", 10, 10.0},
-      {FaultKind::kExhaustIterations, "", 1, 10.0},
+      {FaultKind::kNanResidual, "numeric/brent", 3, 10.0, ""},
+      {FaultKind::kExhaustIterations, "numeric/brent", 5, 10.0, ""},
+      {FaultKind::kPerturbResidual, "numeric/brent", 2, -5.0, ""},
+      {FaultKind::kNanResidual, "numeric/bisect", 10, 10.0, ""},
+      {FaultKind::kExhaustIterations, "", 1, 10.0, ""},
   };
   for (const FaultPlan& plan : plans) {
     std::vector<ScalarOutcome> scalar;

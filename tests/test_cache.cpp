@@ -1,29 +1,23 @@
-// Result-cache integrity suite (ctest label `cache`): the durable
+// Result-cache integrity suite (ctest label `cache`): the in-memory
 // content-addressed solve cache of src/cache/. Proves the contract the
 // cache exists to keep: a warm hit's reply bytes are identical to the cold
 // solve's at every thread count and through both the in-process and the
-// supervised (--isolate parent) paths; a flipped bit ANYWHERE in a segment
-// file is quarantined, never served; torn tails are truncated and the file
-// stays appendable; a foreign schema stamp refuses the whole file; and a
-// stampede of identical requests coalesces onto one leader. Mutates the
+// supervised (--isolate parent) paths; a flipped bit anywhere in a
+// resident entry or its stored checksum is quarantined, never served; and
+// a stampede of identical requests coalesces onto one leader. Mutates the
 // global thread count and forks worker children, so it gets its own
 // executable like the other chaos suites.
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/entry.h"
-#include "cache/segment.h"
 #include "cache/solve_cache.h"
 #include "cache/warm.h"
 #include "parallel/parallel_for.h"
@@ -33,32 +27,31 @@
 #include "supervise/protocol.h"
 
 namespace dsmt::cache {
+
+/// Reaches one resident entry's stored bytes, which no public call can
+/// touch: the only way to test that verified_get refuses a corrupt entry.
+struct SolveCacheTestPeer {
+  /// Flips bit `bit` of the payload, or of the stored checksum when
+  /// `in_checksum`.
+  static void flip(SolveCache& cache, const std::string& key, std::size_t bit,
+                   bool in_checksum) {
+    SolveCache::Shard& shard = cache.shard_for(key);
+    MutexLock lock(shard.mu);
+    SolveCache::Entry& entry = shard.entries.at(key);
+    if (in_checksum) {
+      entry.checksum ^= std::uint64_t{1} << bit;
+    } else {
+      char& byte = entry.payload[bit / 8];
+      byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+    }
+  }
+};
+
 namespace {
 
 struct ThreadCountGuard {
   ~ThreadCountGuard() { parallel::set_thread_count(0); }
 };
-
-/// A fresh cache directory under the test temp root; any segment left by a
-/// previous run of the same test is removed so replay starts clean.
-std::string cache_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "dsmt_cache_" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/solve.dsc").c_str());
-  std::remove((dir + "/solve.dsc.refused").c_str());
-  return dir;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 service::Request wire_request(const std::string& id, double duty = 0.1,
                               double width_um = 0.5) {
@@ -134,143 +127,10 @@ TEST(Codec, CanonicalKeyIgnoresRequestId) {
   EXPECT_NE(canonical_key(a), canonical_key(b));
 }
 
-// --- segment recovery -------------------------------------------------------
-
-TEST(Segment, PersistsAcrossReconstruction) {
-  SolveCacheConfig cfg;
-  cfg.dir = cache_dir("persist");
-  std::vector<std::string> keys;
-  {
-    SolveCache cache(cfg);
-    for (int i = 0; i < 5; ++i) {
-      keys.push_back("key-" + std::to_string(i));
-      cache.publish(keys.back(), sample_value(i));
-    }
-    EXPECT_EQ(cache.stats().inserts, 5u);
-  }
-  SolveCache reloaded(cfg);
-  const CacheStats s = reloaded.stats();
-  EXPECT_EQ(s.loaded, 5u);
-  EXPECT_EQ(s.entries, 5u);
-  EXPECT_EQ(s.inserts, 0u);  // replayed entries are "loaded", not inserts
-  for (int i = 0; i < 5; ++i) {
-    CachedSolve hit;
-    ASSERT_TRUE(reloaded.lookup(keys[static_cast<std::size_t>(i)], hit));
-    EXPECT_TRUE(bitwise_equal(hit, sample_value(i)));
-  }
-}
-
-TEST(Segment, EveryPossibleBitFlipIsQuarantinedNeverServed) {
-  SolveCacheConfig cfg;
-  cfg.dir = cache_dir("bitflip");
-  std::vector<std::string> keys;
-  {
-    SolveCache cache(cfg);
-    for (int i = 0; i < 4; ++i) {
-      keys.push_back("bf-key-" + std::to_string(i));
-      cache.publish(keys.back(), sample_value(i));
-    }
-  }
-  const std::string path = cfg.dir + "/solve.dsc";
-  const std::string pristine = read_file(path);
-  ASSERT_GT(pristine.size(), 4u * kRecordHeaderBytes);
-
-  // Flip one bit at EVERY byte position in turn. Whatever the flip hits —
-  // magic, version, stamp, length, checksum, key, value — a lookup must
-  // either miss (the caller then solves for real) or hit with the exact
-  // original value. A served-but-wrong value is the one forbidden outcome.
-  std::size_t served = 0, quarantined_files = 0;
-  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
-    std::string corrupt = pristine;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
-    write_file(path, corrupt);
-    SolveCache cache(cfg);
-    const CacheStats s = cache.stats();
-    if (s.corrupt_quarantined > 0 || s.refused_stamp ||
-        s.torn_truncated > 0)
-      ++quarantined_files;
-    for (int i = 0; i < 4; ++i) {
-      CachedSolve hit;
-      if (cache.lookup(keys[static_cast<std::size_t>(i)], hit)) {
-        ASSERT_TRUE(bitwise_equal(hit, sample_value(i)))
-            << "corrupted value served: flipped byte " << pos;
-        ++served;
-      }
-    }
-    // The cache must stay usable after any corruption: a fresh publish
-    // and verified read-back must work.
-    cache.publish("fresh", sample_value(9));
-    CachedSolve fresh;
-    ASSERT_TRUE(cache.lookup("fresh", fresh)) << "flipped byte " << pos;
-    ASSERT_TRUE(bitwise_equal(fresh, sample_value(9)));
-  }
-  // Sanity: the sweep really did both things — served verified survivors
-  // and detected damage (every flip lands in some record's span).
-  EXPECT_GT(served, 0u);
-  EXPECT_EQ(quarantined_files, pristine.size());
-  write_file(path, pristine);
-}
-
-TEST(Segment, TornTailIsTruncatedAndFileStaysAppendable) {
-  SolveCacheConfig cfg;
-  cfg.dir = cache_dir("torn");
-  {
-    SolveCache cache(cfg);
-    for (int i = 0; i < 3; ++i)
-      cache.publish("torn-" + std::to_string(i), sample_value(i));
-  }
-  const std::string path = cfg.dir + "/solve.dsc";
-  const std::string pristine = read_file(path);
-  // Tear the last record mid-payload, as a crash between write and fsync
-  // would.
-  write_file(path, pristine.substr(0, pristine.size() - 10));
-  {
-    SolveCache cache(cfg);
-    const CacheStats s = cache.stats();
-    EXPECT_EQ(s.loaded, 2u);
-    EXPECT_EQ(s.torn_truncated, 1u);
-    EXPECT_GT(s.bytes_truncated, 0u);
-    // The repaired file accepts appends at the truncated end.
-    cache.publish("torn-replacement", sample_value(5));
-  }
-  SolveCache reloaded(cfg);
-  EXPECT_EQ(reloaded.stats().loaded, 3u);
-  EXPECT_EQ(reloaded.stats().torn_truncated, 0u);
-  CachedSolve hit;
-  EXPECT_TRUE(reloaded.lookup("torn-replacement", hit));
-  EXPECT_TRUE(bitwise_equal(hit, sample_value(5)));
-}
-
-TEST(Segment, ForeignSchemaStampRefusesWholeFile) {
-  SolveCacheConfig cfg;
-  cfg.dir = cache_dir("stamp");
-  cfg.schema_stamp = 0x1111;
-  {
-    SolveCache cache(cfg);
-    cache.publish("stamped", sample_value(1));
-  }
-  SolveCacheConfig other = cfg;
-  other.schema_stamp = 0x2222;
-  SolveCache refused(other);
-  const CacheStats s = refused.stats();
-  EXPECT_TRUE(s.refused_stamp);
-  EXPECT_EQ(s.loaded, 0u);
-  CachedSolve hit;
-  EXPECT_FALSE(refused.lookup("stamped", hit));
-  // The foreign file was set aside, not deleted, and the new-stamp cache
-  // starts its own segment in its place.
-  struct stat st;
-  EXPECT_EQ(::stat((cfg.dir + "/solve.dsc.refused").c_str(), &st), 0);
-  refused.publish("restamped", sample_value(2));
-  SolveCache reloaded(other);
-  EXPECT_EQ(reloaded.stats().loaded, 1u);
-  EXPECT_FALSE(reloaded.stats().refused_stamp);
-}
-
 // --- single-flight coalescing ----------------------------------------------
 
 TEST(SingleFlight, StampedeElectsOneLeaderAndCoalescesWaiters) {
-  SolveCache cache(SolveCacheConfig{});  // memory-only
+  SolveCache cache(SolveCacheConfig{});
   constexpr int kThreads = 8;
   std::atomic<int> leads{0}, hits{0}, solves{0};
   std::atomic<bool> go{false};
@@ -411,6 +271,49 @@ TEST(ByteIdentity, WarmHitEqualsColdSolveAcrossThreadCounts) {
   }
 }
 
+TEST(Integrity, EveryResidentBitFlipIsQuarantinedNeverServed) {
+  // One resident entry, corrupted one bit at a time: every payload bit
+  // (length, key, each value field) and every bit of its stored checksum.
+  // The server that meets the corrupt entry must answer with the cold
+  // bytes, and a plain lookup must miss; both count a quarantine.
+  const service::Request request = wire_request("flip");
+  service::Server bare(quiet_config());
+  const std::string cold =
+      service::response_to_json(bare.handle(request, 0)).dump(-1);
+
+  service::ServerConfig cfg = quiet_config();
+  cfg.solve_cache = std::make_shared<SolveCache>(SolveCacheConfig{});
+  SolveCache& cache = *cfg.solve_cache;
+  service::Server cached(cfg);
+  const auto reply = [&] {
+    return service::response_to_json(cached.handle(request, 0)).dump(-1);
+  };
+  ASSERT_EQ(reply(), cold);  // miss: solves and publishes
+  const std::string key = canonical_key(request);
+  // The layout is fixed-width once the key is fixed.
+  const std::size_t payload_bits = encode_payload(key, {}).size() * 8;
+
+  std::uint64_t quarantined = 0;
+  for (const bool in_checksum : {false, true}) {
+    const std::size_t bits = in_checksum ? 64 : payload_bits;
+    for (std::size_t bit = 0; bit < bits; ++bit) {
+      SCOPED_TRACE((in_checksum ? "checksum bit " : "payload bit ") +
+                   std::to_string(bit));
+      // The server meets the corrupt entry: cold bytes, one quarantine,
+      // and its re-solve publishes the entry again.
+      SolveCacheTestPeer::flip(cache, key, bit, in_checksum);
+      ASSERT_EQ(reply(), cold);
+      ASSERT_EQ(cache.stats().corrupt_quarantined, ++quarantined);
+      // A plain lookup meets the same flip: a miss, one quarantine.
+      SolveCacheTestPeer::flip(cache, key, bit, in_checksum);
+      CachedSolve served;
+      ASSERT_FALSE(cache.lookup(key, served));
+      ASSERT_EQ(cache.stats().corrupt_quarantined, ++quarantined);
+      ASSERT_EQ(reply(), cold);  // re-publish for the next bit
+    }
+  }
+}
+
 TEST(ByteIdentity, SupervisedParentCacheHitEqualsWorkerSolvedBytes) {
   // The same requests through two supervised pools: one plain, one whose
   // parent shares a pre-warmed cache and answers from it without leasing a
@@ -474,8 +377,7 @@ TEST(Observability, ServiceJsonReportsSolveSection) {
   ASSERT_NE(solve, nullptr);
   for (const char* field :
        {"hits", "misses", "coalesced", "inserts", "evictions",
-        "corrupt_quarantined", "entries", "bytes", "loaded",
-        "torn_truncated", "refused_stamp", "durable"})
+        "corrupt_quarantined", "entries", "bytes"})
     EXPECT_NE(solve->find(field), nullptr) << field;
 
   // Without an attached solve cache there is no cache section at all.

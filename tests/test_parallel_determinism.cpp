@@ -199,7 +199,7 @@ TEST(ParallelDeterminism, FaultInSweepCellSurfacesAcrossThreads) {
   parallel::set_thread_count(8);
   // "numeric/b" poisons Brent AND its bisection fallback — the recovery
   // chain exhausts, so the failure must escape the worker as a SolveError.
-  ScopedFault fault({FaultKind::kNanResidual, "numeric/b", 1, 0.0});
+  ScopedFault fault({FaultKind::kNanResidual, "numeric/b", 1, 0.0, ""});
   try {
     (void)selfconsistent::generate_design_rule_table(table_spec());
     FAIL() << "expected SolveError from the poisoned sweep";
@@ -222,7 +222,7 @@ TEST(ParallelDeterminism, FirstFailureIsDeterministic) {
   std::string serial_what, parallel_what;
   {
     parallel::set_thread_count(1);
-    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
     try {
       (void)selfconsistent::generate_design_rule_table(table_spec());
     } catch (const SolveError& e) {
@@ -231,7 +231,7 @@ TEST(ParallelDeterminism, FirstFailureIsDeterministic) {
   }
   for (int repeat = 0; repeat < 3; ++repeat) {
     parallel::set_thread_count(8);
-    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
     try {
       (void)selfconsistent::generate_design_rule_table(table_spec());
       FAIL() << "expected SolveError";

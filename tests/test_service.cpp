@@ -33,7 +33,7 @@ using numeric::fault::ScopedFault;
 /// Kill the solver terminally: NaN residuals in Brent AND its bisection
 /// fallback ("numeric/b" matches both), so no recovery stage can save it.
 FaultPlan kill_solver() {
-  return {FaultKind::kNanResidual, "numeric/b", 1, 0.0};
+  return {FaultKind::kNanResidual, "numeric/b", 1, 0.0, ""};
 }
 
 Request wire_request(const std::string& id, double duty = 0.1,

@@ -79,21 +79,18 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   scalar chain the batch API transcribes. Look-alikes
                   (`solve_one(`, `solve_batch(`, `resolve(`, member
                   `.solve(`) do not fire.
-  R14 cache-primitives  src/cache/ is the sole home of cache-file I/O and
-                  checksum primitives. (a) The FNV-1a constants (offset
-                  bases and prime, decimal or hex) may be spelled only in
-                  cache/fnv.h — everywhere else calls cache::fnv1a, so a
-                  typo'd prime cannot silently fork the hash that segment
-                  checksums, shard routing, and quarantine keys agree on.
-                  core/checkpoint.{h,cpp} are exempt: the core layer cannot
-                  depend on cache/ and its config-hash predates the cache.
-                  (b) The segment primitives (core::AppendLog,
-                  truncate_file_to, the "DSC1" magic) may appear only under
-                  src/cache/ and in core/atomic_file.{h,cpp}, their
-                  implementation home — durable cache I/O goes through
-                  cache/segment.h so the recovery/quarantine policy cannot
-                  be re-implemented ad hoc. tests/, tools/, and examples/
-                  are exempt, like all rules.
+  R14 cache-primitives  The FNV-1a constants (offset bases and prime,
+                  decimal or hex) may be spelled only in cache/fnv.h —
+                  everywhere else calls cache::fnv1a, so a typo'd prime
+                  cannot silently fork the hash that the solve cache's
+                  resident-entry checksums, its shard routing, and the
+                  supervise quarantine keys agree on. Nothing hashed is
+                  kept on disk; one hash keeps a cache's verify agreeing
+                  with its publish and the printed quarantine hashes stable
+                  across builds. core/checkpoint.{h,cpp} are exempt: the
+                  core layer cannot depend on cache/ and its config-hash
+                  predates the cache. tests/, tools/, and examples/ are
+                  exempt, like all rules.
   R13 process-syscalls  src/supervise/ is the sole home of child-process
                   management syscalls (fork/vfork/exec*/waitpid/wait4/
                   socketpair/setrlimit/kill/_exit): everywhere else in src/
@@ -303,12 +300,13 @@ PROCESS_SYSCALL_NAMES = (
 PROCESS_SYSCALL_RE = _syscall_re(PROCESS_SYSCALL_NAMES)
 
 
-# The one header allowed to spell the FNV-1a constants (R14a): every
-# checksum and content hash in the tree calls cache::fnv1a, so segment
-# checksums, shard routing, and quarantine keys agree on one hash and a
-# typo'd prime cannot silently fork it. 1469598103934665603 is the frozen
-# historical canonical-request basis (PR 9's supervise hash) — changing or
-# re-deriving it would orphan every persisted quarantine table and segment.
+# The one header allowed to spell the FNV-1a constants (R14): every
+# checksum and content hash in the tree calls cache::fnv1a, so resident
+# cache checksums, shard routing, and quarantine keys agree on one hash and
+# a typo'd prime cannot silently fork it. 1469598103934665603 is the frozen
+# historical canonical-request basis (the supervise hash) — changing or
+# re-deriving it would change every quarantine hash that replies and the
+# sign-off report print.
 # core/checkpoint.{h,cpp} keep a private pre-cache copy: the core layer
 # cannot depend on cache/, so their config hash is exempt.
 FNV_HOME = "cache/fnv.h"
@@ -318,15 +316,6 @@ FNV_LITERAL_RE = re.compile(
     r"[uUlL]*\b|"
     r"0[xX](?:cbf29ce484222325|100000001b3)[uUlL]*\b",
     re.IGNORECASE)
-
-# The segment-file primitives (R14b): the fsync'd append log, the torn-tail
-# truncation helper, and the segment magic may appear only under src/cache/
-# and in core/atomic_file.{h,cpp}, their implementation home. Durable cache
-# I/O goes through cache/segment.h so the recovery/quarantine policy is
-# written exactly once.
-CACHE_PREFIX = "cache/"
-CACHE_IO_EXEMPT_FILES = ("core/atomic_file.h", "core/atomic_file.cpp")
-CACHE_IO_RE = re.compile(r"\bAppendLog\b|\btruncate_file_to\b|\"DSC1\"")
 
 
 # A doc line counts as carrying a unit tag when it contains [...] with a
@@ -558,12 +547,9 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"kill, rlimit rails) so crash containment "
                               f"stays in one place")
 
-    # R14: cache-file I/O and checksum primitives are fenced into
-    # src/cache/. (a) The FNV-1a constants may be spelled only in
-    # cache/fnv.h (core/checkpoint's private pre-cache copy is exempt);
-    # everyone else calls cache::fnv1a. (b) The segment append/truncate
-    # primitives and the segment magic live under src/cache/ and in their
-    # implementation home core/atomic_file.{h,cpp}.
+    # R14: the FNV-1a constants may be spelled only in cache/fnv.h
+    # (core/checkpoint's private pre-cache copy is exempt); everyone else
+    # calls cache::fnv1a.
     if rel != FNV_HOME and rel not in FNV_EXEMPT_FILES:
         for i, raw in enumerate(lines):
             line = strip_comments(raw)
@@ -572,19 +558,8 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                 errors.append(f"{rel}:{i + 1}: [cache-primitives] FNV-1a "
                               f"constant '{m.group(0).strip()}' spelled "
                               f"outside cache/fnv.h — call cache::fnv1a so "
-                              f"segment checksums, shard routing, and "
+                              f"cache checksums, shard routing, and "
                               f"quarantine keys stay on one hash")
-    if not rel.startswith(CACHE_PREFIX) and rel not in CACHE_IO_EXEMPT_FILES:
-        for i, raw in enumerate(lines):
-            line = strip_comments(raw)
-            m = CACHE_IO_RE.search(line)
-            if m:
-                errors.append(f"{rel}:{i + 1}: [cache-primitives] cache "
-                              f"segment primitive ('{m.group(0).strip()}') "
-                              f"outside src/cache/ — durable cache I/O goes "
-                              f"through cache/segment.h + core/atomic_file "
-                              f"so recovery and checksum policy are written "
-                              f"once")
 
     # R1: raw double params in exported header decls need a [unit] doc tag.
     # core/units.h is the unit vocabulary itself: its factory helpers and
@@ -909,8 +884,8 @@ class Task {
 """
 
 SELF_TEST_BAD_CACHE = """\
-// FNV-1a constants and segment primitives in the shapes R14 must catch
-// when the file sits outside src/cache/.
+// FNV-1a constants in the shapes R14 must catch when the file is not
+// cache/fnv.h.
 #pragma once
 
 #include <cstdint>
@@ -928,19 +903,12 @@ inline std::uint64_t my_hash(const std::string& s) {
   return h ^ 0xcbf29ce484222325ULL;
 }
 
-inline void rewrite_segment(const std::string& path) {
-  core::AppendLog log(path);
-  core::truncate_file_to(path, 0);
-  log.append("DSC1");
-}
-
 }  // namespace dsmt::demo
 """
 
 SELF_TEST_GOOD_CACHE = """\
-// Look-alikes R14 must stay quiet on: the sanctioned cache::fnv1a call,
-// nearby-but-different numerics, longer/suffixed identifiers, and a
-// different file magic.
+// Look-alikes R14 must stay quiet on: the sanctioned cache::fnv1a call
+// and nearby-but-different numerics.
 #pragma once
 
 #include <cstdint>
@@ -957,12 +925,6 @@ inline std::uint64_t near_misses() {
   const std::uint64_t b = 14695981039346656036ull;  // basis off by one
   return a ^ b;
 }
-
-class AppendLogger {                            // longer identifier
- public:
-  void truncate_file_to_zero();                 // suffixed identifier
-  const char* magic() const { return "DSC2"; }  // a different magic
-};
 
 }  // namespace dsmt::demo
 """
@@ -1224,13 +1186,13 @@ def self_test() -> int:
             return 1
 
         # R14 fires on every FNV literal (decimal, hex, the frozen canonical
-        # basis) and every segment primitive outside src/cache/ ...
+        # basis) outside cache/fnv.h ...
         errors = []
         lint_file(bad_cache, "demo/bad_cache.h", errors)
         cache_errs = [e for e in errors if "[cache-primitives]" in e]
-        if len(cache_errs) != 7:  # 4 FNV literals + AppendLog/truncate/magic
+        if len(cache_errs) != 4:  # 4 FNV literals
             print(f"self-test FAILED: bad_cache.h raised {len(cache_errs)} "
-                  f"cache-primitives violations, expected 7:")
+                  f"cache-primitives violations, expected 4:")
             for e in errors:
                 print("  " + e)
             return 1
@@ -1244,37 +1206,18 @@ def self_test() -> int:
                 print("  " + e)
             return 1
 
-        # ... exempts src/cache/ itself (both halves of the fence) ...
+        # ... exempts cache/fnv.h, the constants' home ...
         errors = []
         lint_file(bad_cache, "cache/fnv.h", errors)
         if any("[cache-primitives]" in e for e in errors):
-            print("self-test FAILED: R14 fired inside src/cache/")
+            print("self-test FAILED: R14 fired inside cache/fnv.h")
             return 1
 
-        # ... exempts core/checkpoint's private FNV copy while still fencing
-        # the segment primitives there ...
+        # ... and exempts core/checkpoint's private FNV copy.
         errors = []
         lint_file(bad_cache, "core/checkpoint.cpp", errors)
-        cache_errs = [e for e in errors if "[cache-primitives]" in e]
-        if len(cache_errs) != 3 or any("FNV" in e for e in cache_errs):
-            print(f"self-test FAILED: checkpoint.cpp raised "
-                  f"{len(cache_errs)} cache-primitives violations, expected "
-                  f"3 segment-primitive ones:")
-            for e in errors:
-                print("  " + e)
-            return 1
-
-        # ... and exempts core/atomic_file, the segment primitives'
-        # implementation home, while still fencing the FNV constants there.
-        errors = []
-        lint_file(bad_cache, "core/atomic_file.cpp", errors)
-        cache_errs = [e for e in errors if "[cache-primitives]" in e]
-        if len(cache_errs) != 4 or any("FNV" not in e for e in cache_errs):
-            print(f"self-test FAILED: atomic_file.cpp raised "
-                  f"{len(cache_errs)} cache-primitives violations, expected "
-                  f"4 FNV-constant ones:")
-            for e in errors:
-                print("  " + e)
+        if any("[cache-primitives]" in e for e in errors):
+            print("self-test FAILED: R14 fired inside core/checkpoint.cpp")
             return 1
 
     print("dsmt_lint: self-test passed (rules R1-R14)")

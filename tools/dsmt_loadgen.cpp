@@ -30,8 +30,6 @@
 //                 integrity claim — reply i must be byte-identical across
 //                 all clients (hit, coalesced hit, and cold solve must be
 //                 indistinguishable on the wire)
-//   bitflip       no socket: flips --flips seeded bits in-place in --file
-//                 (a cache segment), for corruption-recovery drills
 //
 // This is a tool, not library code: it uses blocking sockets and raw
 // syscalls directly (lint rule R11 fences those out of src/ outside
@@ -73,7 +71,6 @@ void print_error(const std::string& message) {
   std::fprintf(
       exit_code == 0 ? stdout : stderr,
       "usage: dsmt_loadgen (--connect SOCKET_PATH | --tcp PORT) [options]\n"
-      "       dsmt_loadgen --mode bitflip --file PATH [--flips N] [--seed S]\n"
       "\n"
       "modes (default --mode normal):\n"
       "  --mode normal         framed solve requests, latency percentiles\n"
@@ -86,17 +83,13 @@ void print_error(const std::string& message) {
       "  --mode cache-storm    identical request stream from every client\n"
       "                        (a coalescing stampede); all replies must be\n"
       "                        \"ok\" and byte-identical across clients\n"
-      "  --mode bitflip        no socket: flip --flips seeded bits in-place\n"
-      "                        in --file (cache-segment corruption drill)\n"
       "\n"
       "options:\n"
       "  --clients N         concurrent client connections (default 4)\n"
       "  --requests N        requests per client (default 8)\n"
       "  --poison-percent P  crash-storm: percent of poison traffic\n"
       "                      (1-100, default 10)\n"
-      "  --file PATH         bitflip: file to corrupt in place\n"
-      "  --flips N           bitflip: number of single-bit flips (default 8)\n"
-      "  --seed S            fault/garbage/bitflip stream seed (default 1)\n"
+      "  --seed S            fault/garbage stream seed (default 1)\n"
       "  --json              emit the report as JSON on stdout\n"
       "  --help              this text\n"
       "\n"
@@ -201,8 +194,6 @@ struct Options {
   int clients = 4;
   int requests = 8;
   int poison_percent = 10;  ///< crash-storm poison share of traffic [%]
-  std::string file;         ///< bitflip: target file
-  int flips = 8;            ///< bitflip: single-bit flips to apply
   std::uint64_t seed = 1;
   bool json = false;
 };
@@ -485,68 +476,6 @@ void run_cache_storm_client(const Options& opt, int client,
   }
 }
 
-/// The bitflip drill: --flips seeded single-bit flips applied in place to
-/// --file. No socket involved — this corrupts a cache segment between
-/// server runs so the recovery path (checksum quarantine, torn-tail
-/// truncation) can be exercised by the next start-up. Returns the process
-/// exit code.
-int run_bitflip(const Options& opt) {
-  std::FILE* f = std::fopen(opt.file.c_str(), "r+b");
-  if (f == nullptr) {
-    print_error("bitflip: cannot open " + opt.file);
-    return 1;
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  if (size <= 0) {
-    print_error("bitflip: " + opt.file + " is empty");
-    std::fclose(f);
-    return 1;
-  }
-  for (int k = 0; k < opt.flips; ++k) {
-    // Two independent seeded draws per flip: byte position and bit index.
-    const std::uint64_t pos_draw = dsmt::core::splitmix64(
-        opt.seed ^ (static_cast<std::uint64_t>(k) * 2 + 1));
-    const std::uint64_t bit_draw = dsmt::core::splitmix64(
-        opt.seed ^ (static_cast<std::uint64_t>(k) * 2 + 2));
-    const long pos =
-        static_cast<long>(pos_draw % static_cast<std::uint64_t>(size));
-    std::fseek(f, pos, SEEK_SET);
-    const int byte = std::fgetc(f);
-    if (byte == EOF) {
-      print_error("bitflip: short read at offset " + std::to_string(pos));
-      std::fclose(f);
-      return 1;
-    }
-    std::fseek(f, pos, SEEK_SET);
-    if (std::fputc(byte ^ (1 << (bit_draw % 8)), f) == EOF) {
-      print_error("bitflip: write failed at offset " + std::to_string(pos));
-      std::fclose(f);
-      return 1;
-    }
-  }
-  if (std::fflush(f) != 0 || std::fclose(f) != 0) {
-    print_error("bitflip: flush failed");
-    return 1;
-  }
-  if (opt.json) {
-    using dsmt::report::Json;
-    Json root = Json::object();
-    root.set("tool", Json::string("dsmt_loadgen"))
-        .set("mode", Json::string("bitflip"))
-        .set("file", Json::string(opt.file))
-        .set("bytes", Json::integer(static_cast<long long>(size)))
-        .set("flips", Json::integer(opt.flips))
-        .set("seed", Json::integer(static_cast<long long>(opt.seed)));
-    std::printf("%s\n", root.dump(2).c_str());
-  } else {
-    std::printf("mode=bitflip file=%s bytes=%ld flips=%d seed=%llu\n",
-                opt.file.c_str(), size, opt.flips,
-                static_cast<unsigned long long>(opt.seed));
-  }
-  return 0;
-}
-
 /// Post-attack health check: one framed request must still round-trip.
 bool probe(const Options& opt) {
   ClientSock sock;
@@ -598,8 +527,6 @@ int main(int argc, char** argv) {
     else if (arg == "--requests") opt.requests = std::stoi(value("--requests"));
     else if (arg == "--poison-percent")
       opt.poison_percent = std::stoi(value("--poison-percent"));
-    else if (arg == "--file") opt.file = value("--file");
-    else if (arg == "--flips") opt.flips = std::stoi(value("--flips"));
     else if (arg == "--seed") opt.seed = std::stoull(value("--seed"));
     else if (arg == "--json") opt.json = true;
     else {
@@ -609,21 +536,9 @@ int main(int argc, char** argv) {
   }
   if (opt.mode != "normal" && opt.mode != "kill-midframe" &&
       opt.mode != "garbage" && opt.mode != "crash-storm" &&
-      opt.mode != "cache-storm" && opt.mode != "bitflip") {
+      opt.mode != "cache-storm") {
     print_error("unknown mode: " + opt.mode);
     usage(2);
-  }
-  // bitflip is socket-free: it needs a --file, not a transport.
-  if (opt.mode == "bitflip") {
-    if (opt.file.empty()) {
-      print_error("--mode bitflip requires --file");
-      usage(2);
-    }
-    if (opt.flips < 1) {
-      print_error("--flips must be >= 1");
-      usage(2);
-    }
-    return run_bitflip(opt);
   }
   if ((opt.socket_path.empty() && !opt.use_tcp) ||
       (!opt.socket_path.empty() && opt.use_tcp)) {
