@@ -17,9 +17,6 @@
 //                         basis in decimal that dropped a digit). Changing
 //                         it would change every printed quarantine hash,
 //                         so it is frozen here under its own name.
-// (core/checkpoint keeps a private copy of the standard constants: the core
-// layer cannot depend on cache/, and its config-hash scheme predates this
-// header. R14 exempts exactly that home.)
 #pragma once
 
 #include <cstddef>

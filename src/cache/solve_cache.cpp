@@ -43,6 +43,7 @@ bool SolveCache::verified_get(Shard& shard, const std::string& key,
   bytes_.fetch_sub(entry.payload.size(), std::memory_order_relaxed);
   entries_.fetch_sub(1, std::memory_order_relaxed);
   corrupt_quarantined_.fetch_add(1, std::memory_order_relaxed);
+  shard.order.erase(entry.slot);
   shard.entries.erase(at);
   return false;
 }
@@ -102,28 +103,21 @@ void SolveCache::publish(const std::string& key, const CachedSolve& value) {
   // Woken waiters re-check only once this lock drops, after the install.
   shard.published.notify_all();
   // First writer wins; a racer's value is identical.
-  if (!shard.entries.try_emplace(key, std::move(entry)).second) return;
-  shard.order.push_back(key);
+  const auto [at, inserted] = shard.entries.try_emplace(key, std::move(entry));
+  if (!inserted) return;
+  at->second.slot = shard.order.insert(shard.order.end(), key);
   entries_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  while (shard.entries.size() > per_shard_cap_ &&
-         shard.evict_head < shard.order.size()) {
-    const std::string victim = shard.order[shard.evict_head++];
-    const auto victim_it = shard.entries.find(victim);
-    if (victim_it == shard.entries.end()) continue;  // already quarantined
-    bytes_.fetch_sub(victim_it->second.payload.size(),
+  // order holds exactly the resident keys, so its head is always resident.
+  while (shard.entries.size() > per_shard_cap_) {
+    const auto victim = shard.entries.find(shard.order.front());
+    bytes_.fetch_sub(victim->second.payload.size(),
                      std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    shard.entries.erase(victim_it);
-  }
-  // Compact the FIFO ring once the dead prefix dominates it.
-  if (shard.evict_head > 64 && shard.evict_head * 2 > shard.order.size()) {
-    shard.order.erase(shard.order.begin(),
-                      shard.order.begin() +
-                          static_cast<std::ptrdiff_t>(shard.evict_head));
-    shard.evict_head = 0;
+    shard.order.pop_front();
+    shard.entries.erase(victim);
   }
 }
 

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
@@ -103,15 +104,17 @@ class SolveCache {
   struct Entry {
     std::string payload;     ///< encode_payload(key, value) bytes
     std::uint64_t checksum;  ///< fnv1a(payload), re-verified on every hit
+    /// This entry's node in Shard::order, so quarantine unlinks it in O(1).
+    std::list<std::string>::iterator slot;
   };
   struct Shard {
     mutable Mutex mu;
     CondVar published;  ///< signalled on publish/abandon in this shard
     std::map<std::string, Entry> entries DSMT_GUARDED_BY(mu);
-    /// FIFO eviction order: keys in insert order, head index advances on
-    /// eviction, compacted periodically.
-    std::vector<std::string> order DSMT_GUARDED_BY(mu);
-    std::size_t evict_head DSMT_GUARDED_BY(mu) = 0;
+    /// FIFO eviction order: exactly the resident keys, oldest insert
+    /// first. A quarantined entry leaves it with the entry, so a republished
+    /// key is the youngest, never evicted by a stale slot.
+    std::list<std::string> order DSMT_GUARDED_BY(mu);
     std::set<std::string> flights DSMT_GUARDED_BY(mu);
   };
 

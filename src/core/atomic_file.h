@@ -1,7 +1,7 @@
 // Crash-safe file writes: temp file + fsync + rename.
 //
 // Every artifact the library leaves on disk (CSV series, golden snapshots,
-// checkpoint files, techfiles) goes through this writer, so a job killed —
+// techfiles) goes through this writer, so a job killed —
 // or cancelled, or deadline-expired — mid-write never leaves a truncated
 // file behind: readers see either the previous complete content or the new
 // complete content, never a torn intermediate. The temp file is created in

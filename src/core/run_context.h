@@ -20,11 +20,9 @@
 // run_check() is a single thread-local load — release outputs stay
 // bit-identical.
 //
-// On top of the context, a CheckpointSpec names a file where the sweep and
-// Monte-Carlo drivers periodically snapshot completed grid slots (see
-// core/checkpoint.h); a resumed run skips finished slots and, because every
-// slot is index-addressed and deterministic, reproduces the uninterrupted
-// output bitwise.
+// An interrupted sweep leaves nothing behind: every grid slot is
+// index-addressed and solved from its own inputs, so rerunning the same job
+// reproduces the uninterrupted output bitwise.
 #pragma once
 
 #include <atomic>
@@ -32,11 +30,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "core/status.h"
-#include "core/thread_annotations.h"
 
 namespace dsmt::core {
 
@@ -67,24 +62,9 @@ class CancelToken {
   std::shared_ptr<State> state_;
 };
 
-/// Where and how often the sweep drivers snapshot completed slots.
-struct CheckpointSpec {
-  std::string path;   ///< checkpoint file (written atomically, see format doc)
-  int interval = 16;  ///< completed slots between snapshot flushes [1]
-};
-
-/// Checkpoint counters published into the run for reporting (JSON sign-off).
-struct CheckpointStats {
-  std::string job;             ///< driver name ("design_rule_table", ...)
-  std::size_t total_slots = 0;
-  std::size_t completed = 0;   ///< slots held now (resumed + newly solved)
-  std::size_t resumed = 0;     ///< slots restored from the file on open
-  std::size_t flushes = 0;     ///< snapshot writes performed this run
-};
-
 /// The resilience context threaded (ambiently) through a long job. Copies
-/// share the cancel token, heartbeat counter, and checkpoint log; the
-/// deadline and checkpoint spec are plain values.
+/// share the cancel token and heartbeat counter; the deadline is a plain
+/// value.
 class RunContext {
  public:
   RunContext();
@@ -104,36 +84,17 @@ class RunContext {
   /// increasing while any kernel is making iteration progress.
   std::uint64_t beats() const;
 
-  void set_checkpoint(CheckpointSpec spec);
-  void clear_checkpoint();
-  const std::optional<CheckpointSpec>& checkpoint() const {
-    return checkpoint_;
-  }
-
-  /// Records (or updates, keyed by job) checkpoint counters for reporting.
-  /// Const because the log is shared state: every copy of the context sees
-  /// the same entries, which is how worker-side flushes reach the caller.
-  void note_checkpoint(const CheckpointStats& stats) const;
-  std::vector<CheckpointStats> checkpoint_log() const;
-
   /// One kernel poll: bumps the heartbeat, then reports kCancelled /
   /// kDeadlineExceeded / kOk. Cancellation wins over an expired deadline.
   StatusCode poll() const;
 
  private:
-  struct CheckpointLog {
-    mutable Mutex mu;
-    std::vector<CheckpointStats> entries DSMT_GUARDED_BY(mu);
-  };
-
-  // R10-ok: deadline_ and checkpoint_ are plain values configured before the
-  // context is shared with workers (parallel_for snapshots a const copy);
-  // only the shared state behind the pointers is touched cross-thread.
+  // R10-ok: deadline_ is a plain value configured before the context is
+  // shared with workers (parallel_for snapshots a const copy); only the
+  // shared state behind the pointers is touched cross-thread.
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   CancelToken cancel_;
   std::shared_ptr<std::atomic<std::uint64_t>> beats_;
-  std::optional<CheckpointSpec> checkpoint_;  // R10-ok: see deadline_ above
-  std::shared_ptr<CheckpointLog> log_;
 };
 
 /// The ambient context of the current thread, or nullptr outside any
@@ -165,28 +126,5 @@ StatusCode run_check();
 /// Poll-and-throw for driver loops: on interruption, throws dsmt::SolveError
 /// whose SolverDiag chain records `kernel` with the interruption status.
 void throw_if_run_interrupted(const char* kernel);
-
-/// Claims the ambient checkpoint spec for one sweep driver. If the ambient
-/// context carries a CheckpointSpec, the claim takes it and re-installs a
-/// copy of the context *without* the spec for the claim's lifetime, so
-/// nested drivers (sweep_j0 -> sweep_duty_cycle) cannot double-apply the
-/// same file. The outermost driver — the first to claim — wins.
-class ClaimedCheckpoint {
- public:
-  ClaimedCheckpoint();
-
-  /// The claimed spec, or nullptr when the run has no checkpoint armed.
-  const CheckpointSpec* spec() const {
-    return spec_ ? &*spec_ : nullptr;
-  }
-
- private:
-  // R10-ok: claims happen on the driver thread before any fan-out; workers
-  // see only the re-installed const RunContext, never this object.
-  std::optional<CheckpointSpec> spec_;
-  std::optional<RunContext> rescoped_;   // R10-ok: same — driver-thread only
-  std::optional<ScopedRunContext> scope_;  // R10-ok: same; declared last so
-                                           // it unwinds first
-};
 
 }  // namespace dsmt::core

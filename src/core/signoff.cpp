@@ -212,8 +212,8 @@ std::string SignoffReport::to_json(int indent) const {
            Json::number(to_MA_per_cm2(j0_chip_budgeted)));
   root.set("all_global_layers_pass", Json::boolean(all_global_layers_pass));
   root.set("esd_safe", Json::boolean(esd_safe));
-  // Resilience state of the ambient run (deadline, cancellation, heartbeat,
-  // checkpoint counters) rides along whenever the caller armed one.
+  // Resilience state of the ambient run (deadline, cancellation, heartbeat)
+  // rides along whenever the caller armed one.
   if (const RunContext* run = current_run_context())
     root.set("run", report::run_to_json(*run));
   // Service front-end state (admission and outcome counters) rides along

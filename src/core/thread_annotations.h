@@ -11,7 +11,7 @@
 //
 // Policy (enforced by dsmt_lint rules R9/R10):
 //   * Annotated subsystems (src/parallel/, src/service/, core/signoff,
-//     core/run_context, core/checkpoint, numeric/fault_injection) must use
+//     core/run_context, numeric/fault_injection) must use
 //     dsmt::Mutex / dsmt::MutexLock / dsmt::CondVar from this header — raw
 //     std::mutex / std::lock_guard / std::unique_lock are fenced out (R9),
 //     because the raw types carry no capability and silently opt a data
@@ -24,15 +24,11 @@
 // acquisition order is visible to it; see DESIGN.md "Lock hierarchy"):
 //   level 0 (leaf, never held while calling out):
 //     parallel::Pool::mu_, parallel::detail::FirstError::mu,
-//     parallel::detail::Chunks::mu_, core::RunContext::CheckpointLog::mu,
-//     numeric::fault g_plan_mu
+//     parallel::detail::Chunks::mu_, numeric::fault g_plan_mu
 //   level 1 (may hold while doing I/O or invoking a registered callback,
 //     must not acquire another level-1 lock):
-//     core::SweepCheckpoint::mu_, core::signoff ServiceSourceSlot::mu,
-//     parallel g_config_mu
-// No path in the library acquires two of these locks at once except
-// SweepCheckpoint::mu_ -> CheckpointLog::mu (level 1 -> level 0, via
-// publish_locked -> RunContext::note_checkpoint), which respects the order.
+//     core::signoff ServiceSourceSlot::mu, parallel g_config_mu
+// No path in the library acquires two of these locks at once.
 #pragma once
 
 #include <chrono>

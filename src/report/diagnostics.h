@@ -1,8 +1,8 @@
 // JSON serialization of solver diagnostics (core/status.h) and run
 // resilience state (core/run_context.h), so sign-off reports and downstream
 // tooling can see which kernels ran, how hard they worked, whether any
-// recovery stage fired, and whether a deadline/cancellation or checkpoint
-// resume shaped the run.
+// recovery stage fired, and whether a deadline or cancellation shaped the
+// run.
 #pragma once
 
 #include "core/run_context.h"
@@ -18,13 +18,9 @@ Json diag_to_json(const core::SolverDiag& diag);
 /// next value.
 void write_diag(JsonWriter& out, const core::SolverDiag& diag);
 
-/// Serializes one checkpoint's counters (job, slot totals, resume/flush
-/// counts) as published into the run's checkpoint log.
-Json checkpoint_to_json(const core::CheckpointStats& stats);
-
 /// Serializes the run's resilience state: deadline arming and remaining
-/// budget [s], cancellation flag, heartbeat count, and every checkpoint the
-/// run touched. This is what lands under the sign-off report's "run" key.
+/// budget [s], cancellation flag and heartbeat count. This is what lands
+/// under the sign-off report's "run" key.
 Json run_to_json(const core::RunContext& context);
 
 }  // namespace dsmt::report

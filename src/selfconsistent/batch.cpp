@@ -128,14 +128,8 @@ template <bool kHooked>
 class LaneSolver {
  public:
   LaneSolver(const eq13::Terms& q, double j0, BatchSolution& out,
-             std::size_t l, SharedEvals& shared,
-             const LaneCallback& on_lane_done)
-      : q_(q),
-        j0_(j0),
-        out_(out),
-        l_(l),
-        shared_(shared),
-        on_lane_done_(on_lane_done) {}
+             std::size_t l, SharedEvals& shared)
+      : q_(q), j0_(j0), out_(out), l_(l), shared_(shared) {}
 
   void run() {
     // validate(p): same checks, same order, same messages.
@@ -465,7 +459,6 @@ class LaneSolver {
       out_.records[l_] = std::move(rec);
     }
     out_.status[l_] = StatusCode::kOk;
-    if (on_lane_done_) on_lane_done_(l_, out_);
   }
 
   /// Records lane failure whose scalar equivalent threw.
@@ -529,13 +522,11 @@ class LaneSolver {
   BatchSolution& out_;
   const std::size_t l_;
   SharedEvals& shared_;
-  const LaneCallback& on_lane_done_;
 };
 
 /// The parallel lane loop, instantiated with or without observation hooks.
 template <bool kHooked>
-void run_lanes(const BatchProblem& problems, BatchSolution& out,
-               const LaneCallback& on_lane_done) {
+void run_lanes(const BatchProblem& problems, BatchSolution& out) {
   const std::size_t n = problems.size();
   // Static contiguous blocks, one per thread. Lanes are
   // fully independent, so the block boundaries (and hence DSMT_THREADS)
@@ -567,8 +558,7 @@ void run_lanes(const BatchProblem& problems, BatchSolution& out,
       } else {
         q.duty = problems.duty_cycle[l];
       }
-      LaneSolver<kHooked> solver(q, problems.j0[l], out, l, shared,
-                                 on_lane_done);
+      LaneSolver<kHooked> solver(q, problems.j0[l], out, l, shared);
       solver.run();
     }
   });
@@ -702,8 +692,7 @@ void BatchSolution::throw_first_failure() const {
   if (bad != npos) throw_lane(bad);
 }
 
-BatchSolution solve_batch(const BatchProblem& problems,
-                          const LaneCallback& on_lane_done) {
+BatchSolution solve_batch(const BatchProblem& problems) {
   const std::size_t n = problems.size();
   BatchSolution out;
   out.t_metal.assign(n, 0.0);
@@ -727,9 +716,9 @@ BatchSolution solve_batch(const BatchProblem& problems,
   // for the batch's duration. parallel_for snapshots the caller's ambient
   // context for its workers, so sampling on the calling thread is exact.
   if (numeric::fault::armed() || core::current_run_context() != nullptr)
-    run_lanes<true>(problems, out, on_lane_done);
+    run_lanes<true>(problems, out);
   else
-    run_lanes<false>(problems, out, on_lane_done);
+    run_lanes<false>(problems, out);
   return out;
 }
 

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,20 +130,10 @@ struct BatchSolution {
   void throw_first_failure() const;
 };
 
-/// Invoked on the solving thread the moment a lane retires with kOk (failed
-/// lanes are not announced — the scalar path never stored them either).
-/// Runs concurrently across blocks, so the callback must be thread-safe;
-/// sweep drivers use it to stream per-slot checkpoint stores with the same
-/// granularity the scalar per-item path had. Reading the lane's own entries
-/// in the BatchSolution is safe; other lanes may still be mid-flight.
-using LaneCallback = std::function<void(std::size_t lane,
-                                        const BatchSolution& partial)>;
-
 /// Solves all lanes. Never throws for per-lane failures (those are recorded
 /// in status/diag/error); only infrastructure errors (bad_alloc, a run
 /// interruption surfacing from parallel_for between blocks) propagate.
-BatchSolution solve_batch(const BatchProblem& problems,
-                          const LaneCallback& on_lane_done = {});
+BatchSolution solve_batch(const BatchProblem& problems);
 
 /// One-lane adapter with scalar throw semantics: returns the Solution or
 /// throws exactly as selfconsistent::solve would. This is the sanctioned

@@ -24,7 +24,9 @@ namespace dsmt::golden {
 using Rows = std::vector<std::pair<std::string, double>>;
 
 inline std::string fmt_idx(std::size_t i) {
-  return (i < 10 ? "0" : "") + std::to_string(i);
+  std::string s = std::to_string(i);
+  if (i < 10) s.insert(0, 1, '0');
+  return s;
 }
 
 /// The Fig. 2/3 base problem (figure captions: Cu, AlCu-era Q = 0.7 eV,

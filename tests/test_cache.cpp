@@ -221,6 +221,29 @@ TEST(Eviction, FifoBoundsResidencyPerShard) {
   EXPECT_TRUE(cache.lookup("evict-9", hit));
 }
 
+TEST(Eviction, RepublishedQuarantinedKeyIsYoungest) {
+  // A key quarantined and published again is the newest insert: the next
+  // eviction takes the oldest surviving key, not the fresh entry.
+  SolveCacheConfig cfg;
+  cfg.shards = 1;
+  cfg.max_entries = 4;
+  SolveCache cache(cfg);
+  for (int i = 0; i < 4; ++i)
+    cache.publish("k" + std::to_string(i), sample_value(i));
+  CachedSolve hit;
+  SolveCacheTestPeer::flip(cache, "k0", 0, /*in_checksum=*/true);
+  ASSERT_FALSE(cache.lookup("k0", hit));  // quarantined
+  ASSERT_EQ(cache.stats().corrupt_quarantined, 1u);
+  cache.publish("k0", sample_value(0));
+  cache.publish("k4", sample_value(4));
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.entries, 4u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_FALSE(cache.lookup("k1", hit));
+  for (const char* key : {"k0", "k2", "k3", "k4"})
+    EXPECT_TRUE(cache.lookup(key, hit)) << key;
+}
+
 // --- end-to-end byte identity ----------------------------------------------
 
 std::vector<service::Request> identity_requests() {

@@ -105,26 +105,14 @@ TEST(DiagJson, InterruptionStatusNamesAreStable) {
   EXPECT_NE(json.find("\"note\": \"run interrupted\""), std::string::npos);
 }
 
-TEST(RunJson, SchemaCarriesDeadlineHeartbeatAndCheckpoints) {
+TEST(RunJson, SchemaCarriesDeadlineHeartbeatAndCancellation) {
   core::RunContext ctx =
       core::RunContext::with_deadline_after(std::chrono::hours(1));
-  core::CheckpointStats stats;
-  stats.job = "duty_cycle_sweep";
-  stats.total_slots = 33;
-  stats.completed = 20;
-  stats.resumed = 11;
-  stats.flushes = 2;
-  ctx.note_checkpoint(stats);
   const std::string json = run_to_json(ctx).dump(2);
   EXPECT_NE(json.find("\"deadline_armed\": true"), std::string::npos);
   EXPECT_NE(json.find("\"deadline_remaining_s\""), std::string::npos);
   EXPECT_NE(json.find("\"cancelled\": false"), std::string::npos);
   EXPECT_NE(json.find("\"beats\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"job\": \"duty_cycle_sweep\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_slots\": 33"), std::string::npos);
-  EXPECT_NE(json.find("\"completed\": 20"), std::string::npos);
-  EXPECT_NE(json.find("\"resumed\": 11"), std::string::npos);
-  EXPECT_NE(json.find("\"flushes\": 2"), std::string::npos);
 
   core::RunContext bare;
   bare.cancel().request_cancel();

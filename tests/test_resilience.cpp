@@ -1,9 +1,10 @@
-// Long-job resilience contract: monotonic deadlines, cooperative
-// cancellation, and checkpoint/resume must compose with the determinism and
-// fault-injection layers — a killed-then-resumed sweep is bitwise identical
-// to an uninterrupted one at every thread count, an expired deadline
-// surfaces as kDeadlineExceeded in the SolverDiag chain within a bounded
-// wall time, and an inert RunContext changes no output bit.
+// Long-job resilience contract: monotonic deadlines and cooperative
+// cancellation must compose with the determinism and fault-injection layers
+// — a sweep cancelled mid-flight throws a typed SolveError and leaves no
+// state behind, so a rerun is bitwise identical to an uninterrupted one at
+// every thread count; an expired deadline surfaces as kDeadlineExceeded in
+// the SolverDiag chain within a bounded wall time; and an inert RunContext
+// changes no output bit.
 //
 // This suite mutates the global thread count and arms fault plans, so it
 // lives in its own executable (label: resilience).
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "core/atomic_file.h"
-#include "core/checkpoint.h"
 #include "core/run_context.h"
 #include "core/signoff.h"
 #include "core/status.h"
@@ -34,7 +34,6 @@
 namespace dsmt {
 namespace {
 
-using core::CheckpointSpec;
 using core::RunContext;
 using core::ScopedRunContext;
 using core::StatusCode;
@@ -79,15 +78,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << is.rdbuf();
   return buf.str();
-}
-
-std::size_t count_slot_lines(const std::string& path) {
-  std::ifstream is(path);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(is, line))
-    if (line.rfind("slot ", 0) == 0) ++n;
-  return n;
 }
 
 void compare_tables(const std::vector<selfconsistent::TableCell>& ref,
@@ -229,7 +219,7 @@ TEST(RunContext, CancelAfterChecksTripsExactlyOnce) {
 TEST(RunContext, InertContextChangesNoOutputBit) {
   parallel::set_thread_count(2);
   const auto bare = selfconsistent::generate_design_rule_table(table_spec());
-  RunContext ctx;  // no deadline, no cancel, no checkpoint
+  RunContext ctx;  // no deadline, no cancel
   ScopedRunContext scope(ctx);
   const auto guarded = selfconsistent::generate_design_rule_table(table_spec());
   compare_tables(bare, guarded, "inert context");
@@ -237,83 +227,42 @@ TEST(RunContext, InertContextChangesNoOutputBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint file integrity.
+// Mid-run interruption chaos: cancel at probe-derived poll counts, require a
+// typed kCancelled SolveError, then rerun with no context in the same process
+// and require bitwise equality with the uninterrupted reference at 1, 2, and
+// 8 threads — an interrupted batch leaves nothing behind. Composes with the
+// fault injector below.
 
-TEST(CheckpointFile, HexfloatPayloadRoundTripsBitwise) {
-  const std::string path = temp_path("ckpt_roundtrip.ckpt");
-  std::remove(path.c_str());
-  const std::vector<double> exotic = {1.0 / 3.0, -0.0, 5e-324,
-                                      1.7976931348623157e308, 373.15};
-  {
-    core::SweepCheckpoint cp({path, 1}, "roundtrip", 42, 2);
-    cp.store(1, exotic);
-    cp.flush();
+/// Runs `job` under a context whose cancel fuse trips after `fuse` kernel
+/// polls and requires the run to end in a kCancelled SolveError.
+template <typename Job>
+void expect_cancelled_mid_run(std::uint64_t fuse, const Job& job,
+                              const std::string& tag) {
+  RunContext ctx;
+  ctx.cancel().cancel_after_checks(fuse);
+  ScopedRunContext scope(ctx);
+  try {
+    (void)job();
+    ADD_FAILURE() << tag << ": expected SolveError from the cancelled run";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.status(), StatusCode::kCancelled) << tag;
   }
-  core::SweepCheckpoint cp({path, 1}, "roundtrip", 42, 2);
-  EXPECT_FALSE(cp.has(0));
-  ASSERT_TRUE(cp.has(1));
-  const auto& got = cp.values(1);
-  ASSERT_EQ(got.size(), exotic.size());
-  for (std::size_t i = 0; i < exotic.size(); ++i)
-    expect_bits_equal(exotic[i], got[i], "value " + std::to_string(i));
-  std::remove(path.c_str());
 }
 
-TEST(CheckpointFile, FormatHeaderIsVersionGated) {
-  const std::string path = temp_path("ckpt_header.ckpt");
-  std::remove(path.c_str());
-  {
-    core::SweepCheckpoint cp({path, 1}, "hdr", 7, 1);
-    cp.store(0, {1.0});
-    cp.flush();
-  }
-  std::ifstream is(path);
-  std::string first;
-  std::getline(is, first);
-  EXPECT_EQ(first, "dsmt-checkpoint v1");
-  std::remove(path.c_str());
+void compare_mc(const core::VariationResult& ref,
+                const core::VariationResult& got, const std::string& tag) {
+  ASSERT_EQ(ref.samples.size(), got.samples.size()) << tag;
+  for (std::size_t s = 0; s < ref.samples.size(); ++s)
+    expect_bits_equal(ref.samples[s], got.samples[s],
+                      tag + " sample " + std::to_string(s));
+  expect_bits_equal(ref.nominal, got.nominal, tag + " nominal");
+  expect_bits_equal(ref.mean, got.mean, tag + " mean");
+  expect_bits_equal(ref.stddev, got.stddev, tag + " stddev");
+  expect_bits_equal(ref.p01, got.p01, tag + " p01");
+  expect_bits_equal(ref.p99, got.p99, tag + " p99");
 }
 
-TEST(CheckpointFile, MismatchedIdentityThrows) {
-  const std::string path = temp_path("ckpt_mismatch.ckpt");
-  std::remove(path.c_str());
-  {
-    core::SweepCheckpoint cp({path, 1}, "job_a", 100, 4);
-    cp.store(0, {1.0});
-    cp.flush();
-  }
-  const CheckpointSpec spec{path, 1};
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job_b", 100, 4), SolveError);
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job_a", 101, 4), SolveError);
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job_a", 100, 5), SolveError);
-  // The matching identity still loads.
-  core::SweepCheckpoint ok(spec, "job_a", 100, 4);
-  EXPECT_TRUE(ok.has(0));
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, CorruptFileThrowsInsteadOfSilentlyRestarting) {
-  const std::string path = temp_path("ckpt_corrupt.ckpt");
-  const CheckpointSpec spec{path, 1};
-  core::atomic_write_file(path, "not a checkpoint at all\n");
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job", 1, 2), SolveError);
-  core::atomic_write_file(
-      path, "dsmt-checkpoint v1\njob job\nconfig 0000000000000001\n"
-            "slots 2\nslot 0 1 banana\n");
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job", 1, 2), SolveError);
-  core::atomic_write_file(
-      path, "dsmt-checkpoint v1\njob job\nconfig 0000000000000001\n"
-            "slots 2\nslot 9 1 0x1p+0\n");
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job", 1, 2), SolveError);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Kill-then-resume chaos: cancel at randomized poll counts, resume, and
-// require bitwise equality with the uninterrupted reference at 1, 2, and 8
-// threads. Composes with the PR-2 fault injector below.
-
-TEST(CheckpointResume, TableSweepKillThenResumeBitIdentical) {
+TEST(Interruption, TableSweepCancelledMidRunLeavesNoTrace) {
   parallel::set_thread_count(1);
   // Probe run: collect the reference AND the total poll count, so the chaos
   // fuses below are guaranteed to trip mid-run on any machine.
@@ -326,52 +275,26 @@ TEST(CheckpointResume, TableSweepKillThenResumeBitIdentical) {
   const std::uint64_t total_polls = probe.beats();
   ASSERT_GT(total_polls, 10u);
 
-  int case_id = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     for (const std::uint64_t fuse :
          {std::uint64_t{3}, total_polls / 3, (2 * total_polls) / 3}) {
       const std::string tag = "threads=" + std::to_string(threads) +
                               " fuse=" + std::to_string(fuse);
-      const std::string path =
-          temp_path("ckpt_table_" + std::to_string(case_id++) + ".ckpt");
-      std::remove(path.c_str());
       parallel::set_thread_count(threads);
-
-      {  // Chaos run: cancelled mid-flight after `fuse` kernel polls.
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ctx.cancel().cancel_after_checks(fuse);
-        ScopedRunContext scope(ctx);
-        EXPECT_THROW((void)selfconsistent::generate_design_rule_table(
-                         table_spec()),
-                     SolveError)
-            << tag;
-      }
-      const std::size_t persisted = count_slot_lines(path);
-
-      {  // Resume: skip persisted slots, recompute the rest.
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ScopedRunContext scope(ctx);
-        const auto resumed =
-            selfconsistent::generate_design_rule_table(table_spec());
-        compare_tables(reference, resumed, tag);
-        // The run's checkpoint log agrees with what the file held.
-        const auto log = ctx.checkpoint_log();
-        ASSERT_EQ(log.size(), 1u) << tag;
-        EXPECT_EQ(log[0].job, "design_rule_table") << tag;
-        EXPECT_EQ(log[0].total_slots, reference.size()) << tag;
-        EXPECT_EQ(log[0].completed, reference.size()) << tag;
-        EXPECT_EQ(log[0].resumed, persisted) << tag;
-      }
-      std::remove(path.c_str());
+      expect_cancelled_mid_run(
+          fuse,
+          [] { return selfconsistent::generate_design_rule_table(table_spec()); },
+          tag);
+      compare_tables(reference,
+                     selfconsistent::generate_design_rule_table(table_spec()),
+                     tag);
     }
   }
   parallel::set_thread_count(0);
 }
 
-TEST(CheckpointResume, MonteCarloKillThenResumeBitIdentical) {
+TEST(Interruption, MonteCarloCancelledMidRunLeavesNoTrace) {
   const auto run_mc = [] {
     core::VariationSpec spec;
     return core::monte_carlo_jpeak(tech::make_ntrs_100nm_cu(), 8,
@@ -389,105 +312,59 @@ TEST(CheckpointResume, MonteCarloKillThenResumeBitIdentical) {
   const std::uint64_t total_polls = probe.beats();
   ASSERT_GT(total_polls, 10u);
 
-  int case_id = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const std::uint64_t fuse : {total_polls / 5, total_polls / 2}) {
       const std::string tag = "threads=" + std::to_string(threads) +
                               " fuse=" + std::to_string(fuse);
-      const std::string path =
-          temp_path("ckpt_mc_" + std::to_string(case_id++) + ".ckpt");
-      std::remove(path.c_str());
       parallel::set_thread_count(threads);
-      {
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ctx.cancel().cancel_after_checks(fuse);
-        ScopedRunContext scope(ctx);
-        EXPECT_THROW((void)run_mc(), SolveError) << tag;
-      }
-      {
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ScopedRunContext scope(ctx);
-        const auto resumed = run_mc();
-        ASSERT_EQ(reference.samples.size(), resumed.samples.size()) << tag;
-        for (std::size_t s = 0; s < reference.samples.size(); ++s)
-          expect_bits_equal(reference.samples[s], resumed.samples[s],
-                            tag + " sample " + std::to_string(s));
-        expect_bits_equal(reference.nominal, resumed.nominal, tag + " nominal");
-        expect_bits_equal(reference.mean, resumed.mean, tag + " mean");
-        expect_bits_equal(reference.stddev, resumed.stddev, tag + " stddev");
-        expect_bits_equal(reference.p01, resumed.p01, tag + " p01");
-        expect_bits_equal(reference.p99, resumed.p99, tag + " p99");
-      }
-      std::remove(path.c_str());
+      expect_cancelled_mid_run(fuse, run_mc, tag);
+      compare_mc(reference, run_mc(), tag);
     }
   }
   parallel::set_thread_count(0);
 }
 
-TEST(CheckpointResume, NestedJ0SweepClaimsAtOuterGranularity) {
+TEST(Interruption, NestedJ0SweepCancelledMidRunLeavesNoTrace) {
   const std::vector<double> j0s = {MA_per_cm2(0.6), MA_per_cm2(1.2),
                                    MA_per_cm2(1.8)};
   const auto duties = selfconsistent::log_spaced(1e-3, 1.0, 7);
+  const auto run_j0 = [&] {
+    return selfconsistent::sweep_j0(fig2_problem(), j0s, duties);
+  };
   parallel::set_thread_count(1);
   RunContext probe;
   std::vector<std::vector<selfconsistent::DutyCyclePoint>> reference;
   {
     ScopedRunContext scope(probe);
-    reference = selfconsistent::sweep_j0(fig2_problem(), j0s, duties);
+    reference = run_j0();
   }
   ASSERT_GT(probe.beats(), 10u);
 
-  const std::string path = temp_path("ckpt_j0.ckpt");
-  std::remove(path.c_str());
   parallel::set_thread_count(2);
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 1});
-    ctx.cancel().cancel_after_checks(probe.beats() / 2);
-    ScopedRunContext scope(ctx);
-    EXPECT_THROW((void)selfconsistent::sweep_j0(fig2_problem(), j0s, duties),
-                 SolveError);
-  }
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 1});
-    ScopedRunContext scope(ctx);
-    const auto resumed = selfconsistent::sweep_j0(fig2_problem(), j0s, duties);
-    ASSERT_EQ(reference.size(), resumed.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(reference[i].size(), resumed[i].size());
-      for (std::size_t k = 0; k < reference[i].size(); ++k) {
-        const std::string tag =
-            "point [" + std::to_string(i) + "][" + std::to_string(k) + "]";
-        expect_bits_equal(reference[i][k].sc.j_peak, resumed[i][k].sc.j_peak,
-                          tag + " j_peak");
-        expect_bits_equal(reference[i][k].jpeak_thermal_only,
-                          resumed[i][k].jpeak_thermal_only, tag + " jth");
-      }
+  expect_cancelled_mid_run(probe.beats() / 2, run_j0, "j0 sweep");
+  const auto rerun = run_j0();
+  ASSERT_EQ(reference.size(), rerun.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(reference[i].size(), rerun[i].size());
+    for (std::size_t k = 0; k < reference[i].size(); ++k) {
+      const std::string tag =
+          "point [" + std::to_string(i) + "][" + std::to_string(k) + "]";
+      expect_bits_equal(reference[i][k].sc.j_peak, rerun[i][k].sc.j_peak,
+                        tag + " j_peak");
+      expect_bits_equal(reference[i][k].jpeak_thermal_only,
+                        rerun[i][k].jpeak_thermal_only, tag + " jth");
     }
-    // The outer driver claimed the spec: one checkpoint, at j0 granularity,
-    // proving the nested duty sweeps could not double-apply the same file.
-    const auto log = ctx.checkpoint_log();
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0].job, "j0_sweep");
-    EXPECT_EQ(log[0].total_slots, j0s.size());
   }
-  std::remove(path.c_str());
   parallel::set_thread_count(0);
 }
 
-TEST(CheckpointResume, DeadlineKillThenResumeBitIdentical) {
+TEST(Interruption, DeadlineMidRunLeavesNoTrace) {
   parallel::set_thread_count(1);
   const auto reference = selfconsistent::generate_design_rule_table(table_spec());
-  const std::string path = temp_path("ckpt_deadline.ckpt");
-  std::remove(path.c_str());
   parallel::set_thread_count(2);
   {
     RunContext ctx =
         RunContext::with_deadline_after(std::chrono::milliseconds(2));
-    ctx.set_checkpoint({path, 1});
     ScopedRunContext scope(ctx);
     try {
       (void)selfconsistent::generate_design_rule_table(table_spec());
@@ -496,54 +373,16 @@ TEST(CheckpointResume, DeadlineKillThenResumeBitIdentical) {
       EXPECT_EQ(e.status(), StatusCode::kDeadlineExceeded);
     }
   }
-  {
-    RunContext ctx;  // no deadline this time
-    ctx.set_checkpoint({path, 1});
-    ScopedRunContext scope(ctx);
-    compare_tables(reference,
-                   selfconsistent::generate_design_rule_table(table_spec()),
-                   "deadline resume");
-  }
-  std::remove(path.c_str());
+  compare_tables(reference,
+                 selfconsistent::generate_design_rule_table(table_spec()),
+                 "deadline rerun");
   parallel::set_thread_count(0);
 }
 
-// A fully checkpointed run must not invoke a single solver kernel on
-// resume: with every slot restored, a fault plan poisoning ALL kernels
-// never fires.
-TEST(CheckpointResume, FullResumeRunsNoSolver) {
-  parallel::set_thread_count(2);
-  const std::string path = temp_path("ckpt_full.ckpt");
-  std::remove(path.c_str());
-  std::vector<selfconsistent::TableCell> first;
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 4});
-    ScopedRunContext scope(ctx);
-    first = selfconsistent::generate_design_rule_table(table_spec());
-  }
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 4});
-    ScopedRunContext scope(ctx);
-    ScopedFault fault({FaultKind::kNanResidual, "", 1, 0.0, ""});
-    const auto resumed = selfconsistent::generate_design_rule_table(table_spec());
-    EXPECT_EQ(numeric::fault::injection_count(), 0);
-    compare_tables(first, resumed, "full resume");
-    // Restored cells carry their provenance in the diag chain.
-    ASSERT_FALSE(resumed.front().sol.diag.chain.empty());
-    EXPECT_NE(resumed.front().sol.diag.chain.back().note.find(
-                  "restored from checkpoint"),
-              std::string::npos);
-  }
-  std::remove(path.c_str());
-  parallel::set_thread_count(0);
-}
-
-// Chaos composition: the PR-2 fault injector perturbs every Brent residual
-// (deterministically) while cancellation kills the run mid-flight; resume
+// Chaos composition: the fault injector perturbs every Brent residual
+// (deterministically) while cancellation kills the run mid-flight; a rerun
 // must still match the uninterrupted run under the same fault plan.
-TEST(CheckpointResume, ComposesWithFaultInjector) {
+TEST(Interruption, ComposesWithFaultInjector) {
   const numeric::fault::FaultPlan plan{FaultKind::kPerturbResidual,
                                        "numeric/brent", 3, 10.0, ""};
   parallel::set_thread_count(1);
@@ -555,31 +394,18 @@ TEST(CheckpointResume, ComposesWithFaultInjector) {
     reference = selfconsistent::generate_design_rule_table(table_spec());
   }
   ASSERT_GT(probe.beats(), 10u);
-  const std::string path = temp_path("ckpt_chaos.ckpt");
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    std::remove(path.c_str());
+    const std::string tag = "chaos threads=" + std::to_string(threads);
     parallel::set_thread_count(threads);
-    {
-      RunContext ctx;
-      ctx.set_checkpoint({path, 1});
-      ctx.cancel().cancel_after_checks(probe.beats() / 3);
-      ScopedRunContext scope(ctx);
-      ScopedFault fault(plan);
-      EXPECT_THROW(
-          (void)selfconsistent::generate_design_rule_table(table_spec()),
-          SolveError);
-    }
-    {
-      RunContext ctx;
-      ctx.set_checkpoint({path, 1});
-      ScopedRunContext scope(ctx);
-      ScopedFault fault(plan);
-      compare_tables(reference,
-                     selfconsistent::generate_design_rule_table(table_spec()),
-                     "chaos threads=" + std::to_string(threads));
-    }
+    ScopedFault fault(plan);
+    expect_cancelled_mid_run(
+        probe.beats() / 3,
+        [] { return selfconsistent::generate_design_rule_table(table_spec()); },
+        tag);
+    compare_tables(reference,
+                   selfconsistent::generate_design_rule_table(table_spec()),
+                   tag);
   }
-  std::remove(path.c_str());
   parallel::set_thread_count(0);
 }
 
@@ -596,13 +422,6 @@ TEST(SignoffJson, RunKeyCarriesResilienceState) {
   }
   RunContext ctx =
       RunContext::with_deadline_after(std::chrono::seconds(3600));
-  core::CheckpointStats stats;
-  stats.job = "design_rule_table";
-  stats.total_slots = 24;
-  stats.completed = 24;
-  stats.resumed = 7;
-  stats.flushes = 3;
-  ctx.note_checkpoint(stats);
   ScopedRunContext scope(ctx);
   const std::string json = report.to_json(0);
   EXPECT_NE(json.find("\"run\""), std::string::npos);
@@ -610,10 +429,6 @@ TEST(SignoffJson, RunKeyCarriesResilienceState) {
   EXPECT_NE(json.find("\"deadline_remaining_s\""), std::string::npos);
   EXPECT_NE(json.find("\"cancelled\": false"), std::string::npos);
   EXPECT_NE(json.find("\"beats\""), std::string::npos);
-  EXPECT_NE(json.find("\"checkpoints\""), std::string::npos);
-  EXPECT_NE(json.find("\"job\": \"design_rule_table\""), std::string::npos);
-  EXPECT_NE(json.find("\"resumed\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"flushes\": 3"), std::string::npos);
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   stops being explicit shedding and becomes OOM.
   R9 lock-vocabulary  The annotated concurrent subsystems (src/parallel/,
                   src/service/, core/signoff, core/run_context,
-                  core/checkpoint, numeric/fault_injection) must use the
+                  numeric/fault_injection) must use the
                   capability-annotated dsmt::Mutex / dsmt::MutexLock /
                   dsmt::CondVar from core/thread_annotations.h. Raw
                   std::mutex / std::lock_guard / std::unique_lock /
@@ -87,10 +87,8 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   supervise quarantine keys agree on. Nothing hashed is
                   kept on disk; one hash keeps a cache's verify agreeing
                   with its publish and the printed quarantine hashes stable
-                  across builds. core/checkpoint.{h,cpp} are exempt: the
-                  core layer cannot depend on cache/ and its config-hash
-                  predates the cache. tests/, tools/, and examples/ are
-                  exempt, like all rules.
+                  across builds. tests/, tools/, and examples/ are exempt,
+                  like all rules.
   R13 process-syscalls  src/supervise/ is the sole home of child-process
                   management syscalls (fork/vfork/exec*/waitpid/wait4/
                   socketpair/setrlimit/kill/_exit): everywhere else in src/
@@ -140,9 +138,6 @@ CONVERGED_HOMES = {
     "core/status.h", "core/status.cpp",
     "numeric/fault_injection.h", "numeric/fault_injection.cpp",
     "numeric/roots.cpp", "numeric/sparse.cpp",
-    # The checkpoint slot codec round-trips the flag verbatim (serialization,
-    # not a convergence branch).
-    "selfconsistent/sweep.cpp",
 }
 
 # A `.converged` occurrence that is not a plain assignment (writes stay
@@ -190,7 +185,6 @@ CONCURRENCY_FENCE_PREFIXES = ("parallel/", "service/", "net/", "supervise/",
 CONCURRENCY_FENCE_FILES = {
     "core/signoff.cpp",
     "core/run_context.h", "core/run_context.cpp",
-    "core/checkpoint.h", "core/checkpoint.cpp",
     "numeric/fault_injection.h", "numeric/fault_injection.cpp",
 }
 THREAD_ANNOTATIONS_HOME = "core/thread_annotations.h"
@@ -307,10 +301,7 @@ PROCESS_SYSCALL_RE = _syscall_re(PROCESS_SYSCALL_NAMES)
 # historical canonical-request basis (the supervise hash) — changing or
 # re-deriving it would change every quarantine hash that replies and the
 # sign-off report print.
-# core/checkpoint.{h,cpp} keep a private pre-cache copy: the core layer
-# cannot depend on cache/, so their config hash is exempt.
 FNV_HOME = "cache/fnv.h"
-FNV_EXEMPT_FILES = ("core/checkpoint.h", "core/checkpoint.cpp")
 FNV_LITERAL_RE = re.compile(
     r"\b(?:14695981039346656037|1469598103934665603|1099511628211)"
     r"[uUlL]*\b|"
@@ -547,10 +538,9 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"kill, rlimit rails) so crash containment "
                               f"stays in one place")
 
-    # R14: the FNV-1a constants may be spelled only in cache/fnv.h
-    # (core/checkpoint's private pre-cache copy is exempt); everyone else
-    # calls cache::fnv1a.
-    if rel != FNV_HOME and rel not in FNV_EXEMPT_FILES:
+    # R14: the FNV-1a constants may be spelled only in cache/fnv.h;
+    # everyone else calls cache::fnv1a.
+    if rel != FNV_HOME:
         for i, raw in enumerate(lines):
             line = strip_comments(raw)
             m = FNV_LITERAL_RE.search(line)
@@ -1206,18 +1196,11 @@ def self_test() -> int:
                 print("  " + e)
             return 1
 
-        # ... exempts cache/fnv.h, the constants' home ...
+        # ... and exempts cache/fnv.h, the constants' home.
         errors = []
         lint_file(bad_cache, "cache/fnv.h", errors)
         if any("[cache-primitives]" in e for e in errors):
             print("self-test FAILED: R14 fired inside cache/fnv.h")
-            return 1
-
-        # ... and exempts core/checkpoint's private FNV copy.
-        errors = []
-        lint_file(bad_cache, "core/checkpoint.cpp", errors)
-        if any("[cache-primitives]" in e for e in errors):
-            print("self-test FAILED: R14 fired inside core/checkpoint.cpp")
             return 1
 
     print("dsmt_lint: self-test passed (rules R1-R14)")
